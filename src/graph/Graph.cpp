@@ -147,6 +147,35 @@ size_t Graph::removeUnreachable(std::vector<NodeId> *SweptIds) {
   return Swept;
 }
 
+size_t Graph::sweepFrom(std::span<const NodeId> Seeds,
+                        std::vector<NodeId> *SweptIds) {
+  const size_t FirstSwept = SweptIds ? SweptIds->size() : 0;
+  std::vector<NodeId> Work(Seeds.begin(), Seeds.end());
+  size_t Swept = 0;
+  while (!Work.empty()) {
+    NodeId N = Work.back();
+    Work.pop_back();
+    if (Nodes[N].Dead || !Users[N].empty() ||
+        std::find(Outputs.begin(), Outputs.end(), N) != Outputs.end())
+      continue;
+    Nodes[N].Dead = true;
+    if (SweptIds)
+      SweptIds->push_back(N);
+    ++Swept;
+    for (NodeId In : Nodes[N].Inputs) {
+      auto &U = Users[In];
+      auto It = std::find(U.begin(), U.end(), N);
+      assert(It != U.end() && "use list misses a live user");
+      U.erase(It);
+      if (U.empty())
+        Work.push_back(In);
+    }
+  }
+  if (SweptIds)
+    std::sort(SweptIds->begin() + FirstSwept, SweptIds->end());
+  return Swept;
+}
+
 std::vector<NodeId> Graph::topoOrder() const {
   // Rewrites redirect uses across node-id order, so a real DFS postorder
   // is required (ids alone are not topological after replaceAllUses).

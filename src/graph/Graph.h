@@ -10,7 +10,9 @@
 ///
 /// Mutation model: rewriting is destructive (§2.4) — a fired rule builds
 /// replacement nodes, redirects all uses of the matched root, and dead
-/// interior nodes are swept by removeUnreachable(). Node ids are stable;
+/// interior nodes are swept — by removeUnreachable() (a whole-graph mark
+/// and sweep) or sweepFrom() (a reference-count sweep from the nodes a
+/// rewrite touched). Node ids are stable;
 /// dead nodes stay allocated but are skipped by traversals.
 ///
 //===----------------------------------------------------------------------===//
@@ -140,6 +142,19 @@ public:
   /// order — the search loop prices exactly the newly dead nodes when
   /// delta-costing a commit (sim::CostModel::commitDelta).
   size_t removeUnreachable(std::vector<NodeId> *SweptIds = nullptr);
+
+  /// Fire-local sweep: kills each seed that is no output and has no users,
+  /// then, by reference count, every input left without users, unlinking
+  /// each killed node from its inputs' use lists in input order. Costs
+  /// what it kills, not the graph size. Kills exactly what
+  /// removeUnreachable() would — same set, count, and resulting use lists
+  /// — whenever every node the outputs cannot reach is a seed or feeds
+  /// only such nodes: e.g. after redirecting one node's uses and appending
+  /// nodes, on a graph that was fully swept before, seeded with that node
+  /// and everything appended. \p SweptIds receives the killed ids in
+  /// ascending order.
+  size_t sweepFrom(std::span<const NodeId> Seeds,
+                   std::vector<NodeId> *SweptIds = nullptr);
 
   /// Live nodes, inputs before users. Deterministic.
   std::vector<NodeId> topoOrder() const;

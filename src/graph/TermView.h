@@ -15,11 +15,16 @@
 /// distinct terms — which is what nonlinear patterns should see.
 ///
 /// nodeFor(t) maps a matched term back to a *representative* node (needed
-/// to build rule replacements); when hash-consing merged several
-/// structurally identical nodes, any representative is semantically
-/// interchangeable (pure dataflow).
+/// to build rule replacements). When several live nodes unroll to t, the
+/// representative is the one with the lowest id — a function of the graph
+/// alone, never of which nodes happened to be converted first, so every
+/// matcher builds the same replacement graph.
 ///
-/// After any graph mutation, call invalidate().
+/// The memo survives graph mutation. After a mutation, drop() every node
+/// whose unrolling it changed or that it killed; the rewrite engine drops
+/// the fired node's transitive users and the nodes its sweep removed, so a
+/// rewrite costs what it touched, not a re-conversion of the whole graph.
+/// invalidate() drops everything.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,8 +33,6 @@
 
 #include "graph/Graph.h"
 #include "term/Term.h"
-
-#include <unordered_map>
 
 namespace pypm::graph {
 
@@ -40,23 +43,62 @@ public:
   /// The term unrolling of the subgraph rooted at \p N.
   term::TermRef termFor(NodeId N);
 
-  /// A live node whose unrolling equals \p T, or InvalidNode. Only terms
-  /// previously produced by termFor (or their subterms) are mapped.
-  NodeId nodeFor(term::TermRef T) const;
+  /// The lowest-id live node whose unrolling equals \p T, or InvalidNode.
+  /// Only terms of currently converted nodes (termFor results and their
+  /// subterms since the last drop/invalidate) are mapped. The lookup starts
+  /// from the lowest converted node with term \p T and converts, lazily and
+  /// at most once each, only lower-id live nodes with the same operator.
+  NodeId nodeFor(term::TermRef T);
 
-  /// Drops all memoized conversions (call after mutating the graph).
-  void invalidate() {
-    NodeToTerm.clear();
-    TermToNode.clear();
+  /// Forgets \p N's conversion (its unrolling changed, or it died). The
+  /// caller drops every transitive user of a changed node too. Returns
+  /// whether \p N was converted.
+  bool drop(NodeId N);
+
+  /// Drops all memoized conversions.
+  void invalidate();
+
+  /// Whether \p N's conversion is memoized.
+  bool converted(NodeId N) const {
+    return N < NodeToTerm.size() && NodeToTerm[N];
   }
+
+  /// Nodes converted so far (memo misses), over the view's lifetime.
+  uint64_t conversions() const { return Conversions; }
 
   term::TermArena &arena() { return Arena; }
 
 private:
+  void index();
+  term::TermRef convert(NodeId N);
+  void link(NodeId N, term::TermRef T);
+  void unlink(NodeId N, term::TermRef T);
+  size_t findHead(term::TermRef T) const;
+  void insertHead(term::TermRef T, NodeId N);
+  void eraseHead(size_t Slot);
+
   const Graph &G;
   term::TermArena &Arena;
-  std::unordered_map<NodeId, term::TermRef> NodeToTerm;
-  std::unordered_map<term::TermRef, NodeId> TermToNode;
+  /// Per node: its term, or null while unconverted.
+  std::vector<term::TermRef> NodeToTerm;
+  /// Per converted node: the next-higher converted node with the same term
+  /// (InvalidNode ends the chain).
+  std::vector<NodeId> NextSame;
+  /// Per node: the next-higher node with the same operator.
+  std::vector<NodeId> NextOp;
+  /// Per operator index: the first and last node of its NextOp chain, and
+  /// the first one not known to be converted or dead (InvalidNode: none).
+  std::vector<NodeId> OpHead;
+  std::vector<NodeId> OpTail;
+  std::vector<NodeId> OpCursor;
+  /// Term → lowest converted node with that term (the NextSame chain
+  /// head): an open-addressed table of node ids keyed by their terms,
+  /// linear probing, InvalidNode = empty slot.
+  std::vector<NodeId> Heads;
+  size_t NumHeads = 0;
+  /// Nodes below this id are indexed and sized into the per-node vectors.
+  size_t Indexed = 0;
+  uint64_t Conversions = 0;
 };
 
 } // namespace pypm::graph

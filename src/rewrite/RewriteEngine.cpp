@@ -28,6 +28,12 @@
 // sweep removes. See DESIGN.md §"Failure taxonomy, budgets, and
 // transactional commit".
 //
+// Both strategies commit a fire through fireFirstRule, whose cost is
+// proportional to what the fire touched: the term view keeps its memo and
+// drops only the fired node's transitive users and the swept nodes, and
+// the sweep is a reference count from the fired node and the nodes
+// appended since the last sweep (DESIGN.md §3 "Graph ↔ term view").
+//
 //===----------------------------------------------------------------------===//
 
 #include "rewrite/RewriteEngine.h"
@@ -60,6 +66,8 @@ using match::MachineStatus;
 using match::MatchResult;
 
 namespace {
+
+thread_local CommitObserver *ThreadObserver = nullptr;
 
 double nowSeconds() {
   using Clock = std::chrono::steady_clock;
@@ -405,6 +413,21 @@ private:
   /// Reused matchers for the serial visit / commit path (batch mode).
   BatchMatchers SerialBatch;
 
+  // --- Fire-local commit (fireFirstRule) -------------------------------
+  /// markUsersDirty's visit marks: a node is visited by the current walk
+  /// iff its mark equals WalkEpoch, so the buffer is reused, not cleared.
+  std::vector<uint32_t> WalkMark;
+  uint32_t WalkEpoch = 0;
+  std::vector<NodeId> WalkStack;
+  /// Whether the run has swept yet, and the first id appended since the
+  /// last sweep (see sweepAfterFire).
+  bool SweptOnce = false;
+  NodeId SweepMark = 0;
+  std::vector<NodeId> SweepSeeds;
+  std::vector<NodeId> Swept;
+  /// The calling thread's test observer when the run started, or null.
+  CommitObserver *Observer = ThreadObserver;
+
   bool halted() const { return Stop != BudgetReason::None; }
 
   /// Records the halt cause once and escalates the run status.
@@ -709,7 +732,12 @@ private:
   }
 
   RewriteStats finish(double Start) {
-    Stats.NodesSwept += G.removeUnreachable();
+    Swept.clear();
+    Stats.NodesSwept += G.removeUnreachable(&Swept);
+    for (NodeId D : Swept)
+      View.drop(D);
+    if (Observer)
+      Observer->afterRun(G, View);
     Stats.TotalSeconds = nowSeconds() - Start;
     if (Opts.NumThreads == 0)
       Stats.DiscoverySeconds = Stats.MatchSeconds;
@@ -1324,6 +1352,8 @@ private:
   void rollbackPartialBuild() {
     Stats.NodesSwept += G.removeUnreachable();
     View.invalidate();
+    SweptOnce = true;
+    SweepMark = static_cast<NodeId>(G.numNodes());
   }
 
   bool fireFirstRule(NodeId N, const RewriteEntry &E, const match::Witness &W,
@@ -1340,23 +1370,23 @@ private:
       NodeId Replacement = buildRhsImpl(G, View, R->Rhs, W, *SI, Faults);
       if (Replacement == graph::InvalidNode)
         continue; // RHS build failed (unbound var); try next rule
-      // Invalidate discovery results, cross-pass memos, and batch-swept
-      // candidate rows downstream of this fire *before* the user edges
-      // are redirected away (afterwards the old users are unreachable
-      // from N).
-      if (!Dirty.empty() || Opts.Incremental || BatchActive)
-        markUsersDirty(N);
+      // Invalidate term conversions, discovery results, cross-pass memos,
+      // and batch-swept candidate rows downstream of this fire *before*
+      // the user edges are redirected away (afterwards the old users are
+      // unreachable from N).
+      markUsersDirty(N);
       // Destructive replacement (§2): redirect all *existing* uses — the
       // replacement's own references to the matched value stay — then
       // sweep the now-unreachable matched subgraph so it is not matched
       // again.
       G.replaceAllUses(N, Replacement, FirstNewNode);
-      Stats.NodesSwept += G.removeUnreachable();
-      View.invalidate();
+      sweepAfterFire(N);
       ++PS.RulesFired;
       ++Stats.TotalFired;
       if (Stats.TotalFired >= Opts.MaxRewrites)
         halt(BudgetReason::Rewrites);
+      if (Observer)
+        Observer->afterFire(G, View);
       return true;
     }
     return false;
@@ -1365,35 +1395,76 @@ private:
   /// Marks every transitive user of \p Root dirty: their tree unrollings
   /// reach Root, so redirecting Root's uses changes what they match —
   /// and nothing else's unrolling changes, which makes this walk the
-  /// *exact* invalidation set for every cached match artifact. Three
-  /// caches honor it: the parallel commit's Dirty bits, the cross-pass
-  /// incremental memo (MemoValid), and the pass's batch-swept candidate
-  /// rows. Conservative (already-committed users are marked too,
-  /// harmlessly); traverses through post-snapshot nodes but only
-  /// snapshot ids carry a Dirty bit — new nodes always take the live
-  /// path anyway.
+  /// *exact* invalidation set for every cached match artifact. Four
+  /// caches honor it: the term view's conversions, the parallel commit's
+  /// Dirty bits, the cross-pass incremental memo (MemoValid), and the
+  /// pass's batch-swept candidate rows. Conservative (already-committed
+  /// users are marked too, harmlessly); traverses through post-snapshot
+  /// nodes but only snapshot ids carry a Dirty bit — new nodes always
+  /// take the live path anyway. When the term view is the only cache in
+  /// play, the walk stops at unconverted users: the view's memo is closed
+  /// under inputs, so nothing above an unconverted node is converted.
   void markUsersDirty(NodeId Root) {
-    std::vector<uint8_t> Seen(G.numNodes(), 0);
-    std::vector<NodeId> Stack{Root};
-    while (!Stack.empty()) {
-      NodeId Cur = Stack.back();
-      Stack.pop_back();
+    const bool ViewOnly = Dirty.empty() && !Opts.Incremental && !BatchActive;
+    if (WalkMark.size() < G.numNodes()) {
+      WalkMark.reserve(G.numNodes() + G.numNodes() / 8);
+      WalkMark.resize(G.numNodes(), 0);
+    }
+    if (++WalkEpoch == 0) {
+      std::fill(WalkMark.begin(), WalkMark.end(), 0);
+      WalkEpoch = 1;
+    }
+    WalkStack.assign(1, Root);
+    while (!WalkStack.empty()) {
+      NodeId Cur = WalkStack.back();
+      WalkStack.pop_back();
       for (NodeId U : G.users(Cur)) {
-        if (Seen[U])
+        if (WalkMark[U] == WalkEpoch)
           continue;
-        Seen[U] = 1;
+        WalkMark[U] = WalkEpoch;
+        if (!View.drop(U) && ViewOnly)
+          continue;
         if (U < Dirty.size())
           Dirty[U] = 1;
         if (U < MemoValid.size())
           MemoValid[U] = 0;
         invalidateBatchRow(U);
-        Stack.push_back(U);
+        WalkStack.push_back(U);
       }
     }
+  }
+
+  /// Sweeps what the fire at \p Root left unreachable and drops the swept
+  /// nodes from the term view. The run's first sweep is a full
+  /// removeUnreachable(), so dangling nodes of the input graph go exactly
+  /// as before; every later one counts references from Root and the nodes
+  /// appended since the previous sweep (replacements and the orphans of
+  /// failed RHS builds) — the only nodes a fire can leave unreachable.
+  void sweepAfterFire(NodeId Root) {
+    Swept.clear();
+    if (!SweptOnce) {
+      G.removeUnreachable(&Swept);
+      SweptOnce = true;
+    } else {
+      SweepSeeds.assign(1, Root);
+      for (NodeId N = SweepMark; N < G.numNodes(); ++N)
+        SweepSeeds.push_back(N);
+      G.sweepFrom(SweepSeeds, &Swept);
+    }
+    SweepMark = static_cast<NodeId>(G.numNodes());
+    for (NodeId D : Swept)
+      View.drop(D);
+    Stats.NodesSwept += Swept.size();
   }
 };
 
 } // namespace
+
+CommitObserver *pypm::rewrite::setCommitObserver(CommitObserver *O) {
+  CommitObserver *Prev = ThreadObserver;
+  ThreadObserver = O;
+  return Prev;
+}
 
 NodeId pypm::rewrite::buildRhs(Graph &G, graph::TermView &View,
                                const RhsExpr *Rhs, const match::Witness &W,

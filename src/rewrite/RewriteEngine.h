@@ -13,7 +13,10 @@
 /// thread-sweep benches):
 ///  - a root-operator prefilter: patterns whose possible root operators are
 ///    known skip nodes with other roots without starting the machine;
-///  - memoized node→term conversion, invalidated only on rewrites;
+///  - memoized node→term conversion kept across rewrites: a fire drops
+///    only the conversions it changed (the fired node's transitive users
+///    and the nodes it swept), and the sweep counts references from the
+///    nodes it touched instead of marking the whole graph;
 ///  - parallel match discovery (RewriteOptions::NumThreads): per-pass,
 ///    match attempts fan out over a work-stealing pool against a frozen
 ///    graph snapshot, then candidates commit serially in canonical order —
@@ -422,6 +425,26 @@ RewriteStats rewriteToFixpoint(graph::Graph &G, const RuleSet &Rules,
 /// graph, so there is nothing for a preflight to protect.
 RewriteStats matchAll(graph::Graph &G, const RuleSet &Rules,
                       RewriteOptions Opts = {});
+
+/// Test seam over the greedy engine's commit path (serial visit and
+/// parallel commit alike). Differential tests use it to compare the
+/// engine's persistent term view with a freshly built one after every
+/// fire, and to count term conversions per run.
+class CommitObserver {
+public:
+  /// After every committed fire, once its sweep is done.
+  virtual void afterFire(const graph::Graph &G, graph::TermView &View) = 0;
+  /// Once per run, after the final sweep.
+  virtual void afterRun(const graph::Graph &, graph::TermView &) {}
+
+protected:
+  ~CommitObserver() = default;
+};
+
+/// Installs \p O for engine runs started on the calling thread (null
+/// removes it); returns the previous observer. None is installed by
+/// default, which costs one branch per fire.
+CommitObserver *setCommitObserver(CommitObserver *O);
 
 /// Builds the replacement graph for \p Rhs under the witness \p W.
 /// Exposed for the partitioner, the search loop, and tests. New nodes are

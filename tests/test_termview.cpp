@@ -112,3 +112,38 @@ TEST_F(TermViewTest, DifferentShapesDifferentTerms) {
   SI.inferAll(G);
   EXPECT_NE(View.termFor(RA), View.termFor(RB));
 }
+
+TEST_F(TermViewTest, NodeForReturnsLowestLiveId) {
+  // Two structurally equal Relu(A): converting only the later one must
+  // still map the term to the earlier one — the representative is a
+  // function of the graph, not of what was converted first.
+  NodeId A = input({4, 4});
+  NodeId R1 = G.addNode(Sig.lookup("Relu"), {A});
+  NodeId R2 = G.addNode(Sig.lookup("Relu"), {A});
+  G.addOutput(R1);
+  G.addOutput(R2);
+  SI.inferAll(G);
+  term::TermRef T = View.termFor(R2);
+  EXPECT_FALSE(View.converted(R1));
+  EXPECT_EQ(View.nodeFor(T), R1);
+  EXPECT_TRUE(View.converted(R1));
+}
+
+TEST_F(TermViewTest, DropKeepsOtherConversions) {
+  NodeId A = input({4, 4});
+  NodeId R1 = G.addNode(Sig.lookup("Relu"), {A});
+  NodeId R2 = G.addNode(Sig.lookup("Relu"), {A});
+  G.addOutput(R2);
+  SI.inferAll(G);
+  term::TermRef T = View.termFor(R2);
+  EXPECT_EQ(View.nodeFor(T), R1);
+  // R1 dies: the sweep drops it, and R2 represents the term again.
+  EXPECT_EQ(G.removeUnreachable(), 1u);
+  EXPECT_TRUE(View.drop(R1));
+  EXPECT_FALSE(View.drop(R1));
+  EXPECT_EQ(View.nodeFor(T), R2);
+  EXPECT_TRUE(View.converted(A));
+  uint64_t Before = View.conversions();
+  EXPECT_EQ(View.termFor(R2), T);
+  EXPECT_EQ(View.conversions(), Before);
+}

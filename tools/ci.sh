@@ -86,6 +86,20 @@ echo "=== incremental/batched suites under TSan ==="
 ./build-ci-tsan/tests/pypm_tests \
   --gtest_filter='IncrementalEngine.*:BatchCandidates.*:BatchMatchers.*'
 
+# Fire-local commit: the engine's term view persists across fires (per-node
+# memo, per-term and per-operator chains, an open-addressed head table)
+# and each fire sweeps by reference count, unlinking swept nodes from use
+# lists — index and use-list bookkeeping, so the differential suites run
+# under ASan/UBSan. The parallel commit path goes through the same
+# fireFirstRule, so the cross-matcher and persistent-view suites (threads
+# 0/1/2/4/8) run under TSan too.
+echo "=== fire-local commit suites under ASan/UBSan ==="
+./build-ci-asan/tests/pypm_tests --gtest_filter='TermViewTest.*:CrossMatcherRewrite.*:*PersistentTermView*:FireLocalSweep.*:TermViewScaling.*'
+
+echo "=== fire-local commit suites under TSan ==="
+./build-ci-tsan/tests/pypm_tests \
+  --gtest_filter='CrossMatcherRewrite.*:*PersistentTermView*'
+
 # Static rule-set lint: the §4 std libraries and every shipped example rule
 # set must stay free of error-severity findings (pypmc lint exits 7 on any
 # error finding, failing the leg). Run under the ASan/UBSan build — the
