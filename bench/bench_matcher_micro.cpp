@@ -12,11 +12,11 @@
 #include "dsl/Sema.h"
 #include "graph/TermView.h"
 #include "match/Declarative.h"
-#include "match/FastMatcher.h"
 #include "match/Machine.h"
 #include "models/Transformers.h"
 #include "opt/StdPatterns.h"
 #include "pattern/Serializer.h"
+#include "plan/Executor.h"
 #include "plan/PlanBuilder.h"
 #include "plan/Profile.h"
 #include "rewrite/RewriteEngine.h"
@@ -197,7 +197,7 @@ BENCHMARK(BM_MhaPatternOnTransformerTerm);
 
 /// A chain of alternates where θ grows by one binding per level: the
 /// reference machine snapshots the whole substitution at every choice
-/// point (Σi = O(N²) copying), the production matcher records two trail
+/// point (Σi = O(N²) copying), the plan executor records two trail
 /// marks (O(N) total). This is the workload the trail design exists for.
 const Pattern *thetaChainPattern(Ctx &X, int Depth) {
   const Pattern *P = X.PA.var("end");
@@ -233,21 +233,33 @@ void BM_ReferenceMachineThetaSnapshots(benchmark::State &State) {
 BENCHMARK(BM_ReferenceMachineThetaSnapshots)
     ->RangeMultiplier(2)->Range(16, 512)->Complexity(benchmark::oNSquared);
 
-void BM_FastMatcherThetaTrail(benchmark::State &State) {
+/// \p P compiled as the sole entry of a plan: the plan executor's unit of
+/// work for a single pattern.
+plan::Program singleEntryPlan(const Ctx &X, const Pattern *P) {
+  NamedPattern Def;
+  Def.Name = Symbol::intern("P");
+  Def.Pat = P;
+  rewrite::RuleSet RS;
+  RS.addPattern(Def);
+  return plan::PlanBuilder::compile(RS, X.Sig);
+}
+
+void BM_PlanExecutorThetaTrail(benchmark::State &State) {
   Ctx X;
   int Depth = static_cast<int>(State.range(0));
-  const Pattern *P = thetaChainPattern(X, Depth);
+  plan::Program Prog = singleEntryPlan(X, thetaChainPattern(X, Depth));
   term::TermRef T = thetaChainTerm(X, Depth);
+  plan::Executor M(Prog, X.Arena);
   for (auto _ : State) {
-    MatchResult R = FastMatcher::run(P, T, X.Arena);
+    MatchResult R = M.matchOne(0, T);
     benchmark::DoNotOptimize(R.Status);
   }
   State.SetComplexityN(Depth);
 }
-BENCHMARK(BM_FastMatcherThetaTrail)
+BENCHMARK(BM_PlanExecutorThetaTrail)
     ->RangeMultiplier(2)->Range(16, 512)->Complexity(benchmark::oN);
 
-/// Reference machine vs production matcher on the same recursive-chain
+/// Reference machine vs the plan executor on the same recursive-chain
 /// workload: quantifies what the snapshot-per-choice-point idealization
 /// costs relative to persistent continuations + trail unwinding.
 void BM_ReferenceMachineChain(benchmark::State &State) {
@@ -267,7 +279,7 @@ void BM_ReferenceMachineChain(benchmark::State &State) {
 }
 BENCHMARK(BM_ReferenceMachineChain)->Arg(16)->Arg(64)->Arg(256);
 
-void BM_FastMatcherChain(benchmark::State &State) {
+void BM_PlanExecutorChain(benchmark::State &State) {
   Ctx X;
   int Depth = static_cast<int>(State.range(0));
   term::TermRef T = X.chain(Depth);
@@ -276,13 +288,15 @@ void BM_FastMatcherChain(benchmark::State &State) {
   const Pattern *Body =
       X.PA.alt(X.PA.funVarApp(F, {X.PA.recCall(Self, {Var, F})}),
                X.PA.funVarApp(F, {X.PA.var(Var)}));
-  const Pattern *Mu = X.PA.mu(Self, {Var, F}, {Var, F}, Body);
+  plan::Program Prog =
+      singleEntryPlan(X, X.PA.mu(Self, {Var, F}, {Var, F}, Body));
+  plan::Executor M(Prog, X.Arena);
   for (auto _ : State) {
-    MatchResult R = FastMatcher::run(Mu, T, X.Arena);
+    MatchResult R = M.matchOne(0, T);
     benchmark::DoNotOptimize(R.Status);
   }
 }
-BENCHMARK(BM_FastMatcherChain)->Arg(16)->Arg(64)->Arg(256);
+BENCHMARK(BM_PlanExecutorChain)->Arg(16)->Arg(64)->Arg(256);
 
 /// Budget-governance overhead on the matcher hot path: the identical
 /// recursive-chain workload with and without an (unlimited) Budget
@@ -380,8 +394,8 @@ BENCHMARK(BM_DiscoveryThreadSweep)
 /// Rule-set-size sweep: discovery cost of matchAll over a transformer
 /// layer as the rule set grows through the first k StdPatterns entries
 /// (every rule-bearing pattern of every library — 7 in total, the way
-/// the rewrite engine loads them). The fast matcher runs one per-pattern
-/// machine per node, so its cost scales with k; the MatchPlan walks one
+/// the rewrite engine loads them). The reference machine runs one
+/// per-pattern attempt per node, so its cost scales with k; the MatchPlan walks one
 /// shared discrimination tree per node, so common root prefixes are paid
 /// once. The plan is compiled once outside the loop (the
 /// cacheable-artifact configuration) — compare the two discovery_s
@@ -436,10 +450,10 @@ void runRuleSweep(benchmark::State &State, rewrite::MatcherKind Kind) {
       benchmark::Counter(Iters ? Discovery / static_cast<double>(Iters) : 0);
 }
 
-void BM_FastMatchAllRuleSweep(benchmark::State &State) {
-  runRuleSweep(State, rewrite::MatcherKind::Fast);
+void BM_MachineMatchAllRuleSweep(benchmark::State &State) {
+  runRuleSweep(State, rewrite::MatcherKind::Machine);
 }
-BENCHMARK(BM_FastMatchAllRuleSweep)->DenseRange(1, 7, 2)
+BENCHMARK(BM_MachineMatchAllRuleSweep)->DenseRange(1, 7, 2)
     ->Unit(benchmark::kMillisecond);
 
 void BM_PlanMatchAllRuleSweep(benchmark::State &State) {

@@ -17,7 +17,6 @@
 #include "pattern/Serializer.h"
 #include "plan/PlanBuilder.h"
 #include "plan/Profile.h"
-#include "plan/aot/Threaded.h"
 #include "rewrite/Partition.h"
 #include "server/Server.h"
 
@@ -110,8 +109,9 @@ int runThreadsSweep() {
   return 0;
 }
 
-/// `--ruleset-sweep`: discovery cost as a function of |RuleSet|, fast
-/// matcher vs the shared MatchPlan, over the whole model zoo. For each
+/// `--ruleset-sweep`: discovery cost as a function of |RuleSet|, the
+/// per-pattern reference machine vs the shared MatchPlan, over the whole
+/// model zoo. For each
 /// prefix of the full StdPatterns rule set (every library, loaded the way
 /// the rewrite engine loads them: rule-bearing entries only) the serial
 /// engine's matchAll runs once per model per matcher; the JSON rows chart
@@ -120,7 +120,7 @@ int runThreadsSweep() {
 /// saves; speedup compares discovery alone. Match-only partition
 /// patterns are deliberately excluded: they are driven one at a time by
 /// partitionGraph, not by a RuleSet, and their μ-shaped roots defeat
-/// shape-prefix pruning for the fast matcher and the plan alike.
+/// shape-prefix pruning for the root-op index and the plan alike.
 int runRulesetSweep() {
   std::vector<models::ModelEntry> Zoo;
   for (const auto &Suite : {models::hfSuite(), models::tvSuite()})
@@ -141,8 +141,8 @@ int runRulesetSweep() {
 
   std::printf("{\n  \"models\": %zu,\n  \"ruleset_sweep\": [\n", Zoo.size());
   for (size_t K = 1; K <= NumEntries; ++K) {
-    double FastDiscovery = 0, PlanDiscovery = 0, PlanCompile = 0;
-    uint64_t FastMatches = 0, PlanMatches = 0;
+    double MachineDiscovery = 0, PlanDiscovery = 0, PlanCompile = 0;
+    uint64_t MachineMatches = 0, PlanMatches = 0;
     for (const models::ModelEntry &Model : Zoo) {
       term::Signature Sig;
       auto G = Model.Build(Sig);
@@ -158,11 +158,11 @@ int runRulesetSweep() {
       for (size_t I = 0; I != K && I != All.entries().size(); ++I)
         Prefix.addPattern(*All.entries()[I].Pattern, All.entries()[I].Rules);
 
-      rewrite::RewriteOptions FastOpts;
-      FastOpts.Matcher = rewrite::MatcherKind::Fast;
-      rewrite::RewriteStats FS = rewrite::matchAll(*G, Prefix, FastOpts);
-      FastDiscovery += FS.DiscoverySeconds;
-      FastMatches += FS.TotalMatches;
+      rewrite::RewriteOptions MachineOpts;
+      MachineOpts.Matcher = rewrite::MatcherKind::Machine;
+      rewrite::RewriteStats MS = rewrite::matchAll(*G, Prefix, MachineOpts);
+      MachineDiscovery += MS.DiscoverySeconds;
+      MachineMatches += MS.TotalMatches;
 
       rewrite::RewriteOptions PlanOpts;
       PlanOpts.Matcher = rewrite::MatcherKind::Plan;
@@ -171,119 +171,15 @@ int runRulesetSweep() {
       PlanCompile += PS.PlanCompileSeconds;
       PlanMatches += PS.TotalMatches;
     }
-    std::printf("    {\"rules\": %zu, \"fast_matches\": %llu, "
-                "\"plan_matches\": %llu, \"fast_discovery_seconds\": %.6f, "
+    std::printf("    {\"rules\": %zu, \"machine_matches\": %llu, "
+                "\"plan_matches\": %llu, "
+                "\"machine_discovery_seconds\": %.6f, "
                 "\"plan_discovery_seconds\": %.6f, "
                 "\"plan_compile_seconds\": %.6f, \"speedup\": %.3f}%s\n",
-                K, (unsigned long long)FastMatches,
-                (unsigned long long)PlanMatches, FastDiscovery, PlanDiscovery,
-                PlanCompile,
-                PlanDiscovery > 0 ? FastDiscovery / PlanDiscovery : 0.0,
-                K == NumEntries ? "" : ",");
-  }
-  std::printf("  ]\n}\n");
-  return 0;
-}
-
-/// `--aot-sweep`: the plan interpreter vs the threaded-code backend over
-/// the same rule-prefix sweep (and model zoo) as `--ruleset-sweep`. Both
-/// matchers run the SAME compiled Program via PrecompiledPlan, so the
-/// delta is pure execution-loop cost: the interpreter re-decodes operands
-/// and re-dispatches per instruction visit, the threaded tier pays
-/// decoding once per program (decode_seconds, amortized across every
-/// attempt of the run) and then jumps label-to-label. Best-of-R per
-/// (prefix, model); match counts are asserted equal as the numbers are
-/// produced — the bit-identity claim re-checked where the speedup is
-/// measured. `--smoke` shrinks the zoo and repeat count.
-int runAotSweep(bool Smoke) {
-  std::vector<models::ModelEntry> Zoo;
-  for (const auto &Suite : {models::hfSuite(), models::tvSuite()}) {
-    const size_t PerSuite = Smoke ? 3 : SIZE_MAX;
-    size_t N = 0;
-    for (const models::ModelEntry &Model : Suite)
-      if (N++ < PerSuite)
-        Zoo.push_back(Model);
-  }
-  const int Repeats = Smoke ? 3 : 7;
-
-  size_t NumEntries = 0;
-  {
-    term::Signature Sig;
-    RuleSet All;
-    for (auto &Lib :
-         {opt::compileFmha(Sig), opt::compileEpilog(Sig),
-          opt::compileCublas(Sig), opt::compileUnaryChain(Sig)})
-      All.addLibrary(*Lib);
-    NumEntries = All.entries().size();
-  }
-
-  std::printf("{\n  \"models\": %zu,\n  \"repeats\": %d,\n"
-              "  \"smoke\": %s,\n  \"aot_sweep\": [\n",
-              Zoo.size(), Repeats, Smoke ? "true" : "false");
-  for (size_t K = 1; K <= NumEntries; ++K) {
-    double PlanDiscovery = 0, ThrDiscovery = 0, DecodeSeconds = 0;
-    uint64_t Matches = 0;
-    for (const models::ModelEntry &Model : Zoo) {
-      term::Signature Sig;
-      auto G = Model.Build(Sig);
-      auto Fmha = opt::compileFmha(Sig);
-      auto Epilog = opt::compileEpilog(Sig);
-      auto Cublas = opt::compileCublas(Sig);
-      auto Unary = opt::compileUnaryChain(Sig);
-      RuleSet All;
-      for (const pattern::Library *Lib :
-           {Fmha.get(), Epilog.get(), Cublas.get(), Unary.get()})
-        All.addLibrary(*Lib);
-      RuleSet Prefix;
-      for (size_t I = 0; I != K && I != All.entries().size(); ++I)
-        Prefix.addPattern(*All.entries()[I].Pattern, All.entries()[I].Rules);
-
-      plan::Program Prog = plan::PlanBuilder::compile(Prefix, Sig);
-      auto T0 = std::chrono::steady_clock::now();
-      plan::aot::ThreadedProgram TP = plan::aot::ThreadedProgram::decode(Prog);
-      DecodeSeconds +=
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - T0)
-              .count();
-
-      double BestPlan = 0, BestThr = 0;
-      uint64_t PlanM = 0, ThrM = 0;
-      for (int R = 0; R != Repeats; ++R) {
-        rewrite::RewriteOptions PO;
-        PO.Matcher = rewrite::MatcherKind::Plan;
-        PO.PrecompiledPlan = &Prog;
-        rewrite::RewriteStats PS = rewrite::matchAll(*G, Prefix, PO);
-        if (R == 0 || PS.DiscoverySeconds < BestPlan)
-          BestPlan = PS.DiscoverySeconds;
-        PlanM = PS.TotalMatches;
-
-        rewrite::RewriteOptions TO;
-        TO.Matcher = rewrite::MatcherKind::PlanThreaded;
-        TO.PrecompiledPlan = &Prog;
-        TO.PrecompiledThreaded = &TP; // decode paid once, above
-        rewrite::RewriteStats TS = rewrite::matchAll(*G, Prefix, TO);
-        if (R == 0 || TS.DiscoverySeconds < BestThr)
-          BestThr = TS.DiscoverySeconds;
-        ThrM = TS.TotalMatches;
-      }
-      if (PlanM != ThrM) {
-        std::fprintf(stderr,
-                     "aot-sweep: match divergence at rules=%zu model=%s "
-                     "(plan %llu vs threaded %llu)\n",
-                     K, Model.Name.c_str(), (unsigned long long)PlanM,
-                     (unsigned long long)ThrM);
-        return 1;
-      }
-      PlanDiscovery += BestPlan;
-      ThrDiscovery += BestThr;
-      Matches += PlanM;
-    }
-    std::printf("    {\"rules\": %zu, \"matches\": %llu, "
-                "\"plan_discovery_seconds\": %.6f, "
-                "\"threaded_discovery_seconds\": %.6f, "
-                "\"decode_seconds\": %.6f, \"speedup\": %.3f}%s\n",
-                K, (unsigned long long)Matches, PlanDiscovery, ThrDiscovery,
-                DecodeSeconds,
-                ThrDiscovery > 0 ? PlanDiscovery / ThrDiscovery : 0.0,
+                K, (unsigned long long)MachineMatches,
+                (unsigned long long)PlanMatches, MachineDiscovery,
+                PlanDiscovery, PlanCompile,
+                PlanDiscovery > 0 ? MachineDiscovery / PlanDiscovery : 0.0,
                 K == NumEntries ? "" : ",");
   }
   std::printf("  ]\n}\n");
@@ -411,8 +307,7 @@ int runProfiledSweep() {
 /// must come in under the full rescan. Leg two repeats the
 /// `--ruleset-sweep` rule-prefix ladder with the plan matcher against
 /// itself, RewriteOptions::Batch on vs off: one frontier sweep computing
-/// every candidate mask (plus reused per-pass matchers) vs the per-root
-/// tree walk. Both legs time DiscoverySeconds best-of-R on fresh graphs
+/// every candidate mask vs the per-root tree walk. Both legs time DiscoverySeconds best-of-R on fresh graphs
 /// and assert the modes' match/fire counts against their baselines as
 /// they are timed — the differential suite's bit-identity claim,
 /// re-checked where the numbers come from. `--smoke` shrinks the zoo,
@@ -441,8 +336,8 @@ int runIncrementalSweep(bool Smoke) {
   // the fixpoint takes many passes — each of which the baseline re-scans
   // in full while the incremental engine re-discovers only the dirty
   // region and replays everything else from the memo. The leg runs the
-  // fast matcher deliberately: it is the engine whose rescan passes pay
-  // a real match attempt per candidate node, i.e. the work the memo
+  // reference machine deliberately: it is the engine whose rescan passes
+  // pay a real match attempt per candidate node, i.e. the work the memo
   // elides. (Under the plan matcher the discrimination tree already
   // prunes clean nodes to a near-free mask lookup, so there a memo
   // replay roughly breaks even with the rescan it replaces — the plan
@@ -462,7 +357,7 @@ int runIncrementalSweep(bool Smoke) {
   for (size_t MI = 0; MI != Zoo.size(); ++MI) {
     const models::ModelEntry &Model = Zoo[MI];
     rewrite::RewriteOptions Full;
-    Full.Matcher = rewrite::MatcherKind::Fast;
+    Full.Matcher = rewrite::MatcherKind::Machine;
     Full.Order = rewrite::Traversal::RootsFirst;
     rewrite::RewriteOptions Inc = Full;
     Inc.Incremental = true;
@@ -1140,8 +1035,6 @@ int main(int argc, char **argv) {
       return runThreadsSweep();
     if (std::string_view(argv[I]) == "--ruleset-sweep")
       return runRulesetSweep();
-    if (std::string_view(argv[I]) == "--aot-sweep")
-      return runAotSweep(Smoke);
     if (std::string_view(argv[I]) == "--profiled-sweep")
       return runProfiledSweep();
     if (std::string_view(argv[I]) == "--incremental-sweep")

@@ -7,6 +7,7 @@
 #include "graph/Graph.h"
 #include "graph/GraphIO.h"
 #include "graph/ShapeInference.h"
+#include "plan/PlanBuilder.h"
 #include "search/Search.h"
 #include "sim/CostModel.h"
 
@@ -88,8 +89,10 @@ class Analyzer {
 public:
   Analyzer(const rewrite::RuleSet &RS, const term::Signature &Sig,
            const ConfluenceOptions &Opts)
-      : RS(RS), WorkSig(Sig), Opts(Opts) {
+      : RS(RS), WorkSig(Sig), Opts(Opts),
+        Plan(plan::PlanBuilder::compile(RS, WorkSig)) {
     EO.MaxWitnesses = std::max(8u, Opts.MaxAltsPerPattern);
+    EO.Plan = &Plan;
   }
 
   ConfluenceReport run() {
@@ -343,7 +346,7 @@ private:
       graph::Graph Clone(G);
       try {
         search::ApplyResult AR =
-            search::applyCandidate(Clone, C, RS, SI, CM);
+            search::applyCandidate(Clone, C, RS, SI, CM, {}, nullptr, &Plan);
         if (!AR.Applied) {
           PR.Detail = "candidate failed to re-derive on the witness clone";
           return PR;
@@ -564,7 +567,9 @@ private:
       if (Step >= Opts.MaxNormalizeSteps)
         return false;
       try {
-        if (!search::applyCandidate(G, Cands.front(), RS, SI, CM).Applied)
+        if (!search::applyCandidate(G, Cands.front(), RS, SI, CM, {}, nullptr,
+                                    &Plan)
+                 .Applied)
           return false;
       } catch (...) {
         return false;
@@ -608,6 +613,9 @@ private:
   const rewrite::RuleSet &RS;
   term::Signature WorkSig; ///< private copy: witness graphs mutate it
   ConfluenceOptions Opts;
+  /// The rule set compiled once: every witness enumeration and candidate
+  /// application runs on it.
+  plan::Program Plan;
   search::EnumOptions EO;
   graph::ShapeInference SI;
   sim::CostModel CM;

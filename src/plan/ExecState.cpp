@@ -1,10 +1,10 @@
-//===- plan/ExecState.cpp - Shared mutable state for plan executors -------===//
+//===- plan/ExecState.cpp - Mutable state of the plan executor ------------===//
 //
-// stepMatchDyn shadows FastMatcher::stepMatch; when editing, keep
-// match/FastMatcher.cpp open next to this file. The differential suites
-// (tests/test_matchplan.cpp, tests/test_aot.cpp) pin every executor that
-// runs through this state to identical statuses, witnesses, resume()
-// streams, and step counters.
+// stepMatchDyn is the Match step of the reference machine (Machine.cpp)
+// over the trail state; when editing, keep match/Machine.cpp open next to
+// this file. The differential suites (tests/test_executor.cpp,
+// tests/test_matchplan.cpp) pin the executor to identical statuses,
+// witnesses, resume() streams, and step counters.
 //
 //===----------------------------------------------------------------------===//
 

@@ -1,14 +1,24 @@
-//===- plan/ExecState.h - Shared mutable state for plan executors -*- C++ -*-===//
+//===- plan/ExecState.h - Mutable state of the plan executor ----*- C++ -*-===//
 ///
 /// \file
-/// The one mutable-state block shared by every plan::Program executor —
-/// the bytecode Interpreter, the threaded-code backend, and the
-/// dlopen'ed emitted backend (src/plan/aot/). All three run FastMatcher's
-/// trail/choice-point machinery over the same continuation cells; hoisting
-/// that state (and its per-attempt reset) into one struct means the three
-/// executors cannot drift on scratch-state semantics: a reused executor's
-/// footprint, the μ-unfold memo lifetime, and the trail-unwind order are
-/// defined here exactly once.
+/// The mutable-state block of plan::Executor: the trail/choice-point
+/// machinery that makes choice points O(1) where the reference machine
+/// snapshots the whole substitution and continuation at every choice
+/// point (a faithful rendering of ST-Match-Alt's (θ, φ, k) :: stk):
+///
+///  - the continuation is a *persistent* cons-list of cells; saving it is
+///    copying one pointer, and popped prefixes stay reachable from saved
+///    choice points;
+///  - θ and φ are hash maps plus an undo *trail*; a choice point records
+///    the trail depths, and backtracking unbinds in LIFO order;
+///  - μ-unfold results are memoized per μ node, so retrying the same
+///    choice reuses the clone instead of re-freshening (its freshened
+///    names are reused too, which is safe: the trail unbinds them on
+///    backtrack, exactly as the reference machine's snapshot restore
+///    forgets them).
+///
+/// A reused executor's footprint, the μ-unfold memo lifetime, and the
+/// trail-unwind order are defined here exactly once.
 ///
 /// What resetAttempt() clears is the per-attempt state (cells, θ/φ,
 /// trails, choice points, counters, μ fuel). What it deliberately keeps —
@@ -16,15 +26,14 @@
 /// nodes, and container capacity — is exactly the state that cannot change
 /// an outcome: a memo hit still pays its unfold step and μ-budget
 /// decrement, it only skips re-cloning the body
-/// (tests/test_incremental.cpp pins the reuse parity per attempt;
-/// tests/test_aot.cpp pins the three executors to each other).
+/// (tests/test_executor.cpp pins the reuse parity per attempt).
 ///
-/// The cell-dispatch loop lives here too (runExecLoop): step counting, the
-/// 1024-step budget poll, and the ActionKind dispatch are one function
-/// templated over the compiled-Match step — the only part that differs per
-/// backend. The dynamic μ-escape step (stepMatchDyn, verbatim
-/// FastMatcher::stepMatch) is shared outright: μ-unfold clones exist only
-/// at run time, so every backend matches them over the pattern AST.
+/// The portable cell-dispatch loop lives here too (runExecLoop): step
+/// counting, the 1024-step budget poll, and the ActionKind dispatch as one
+/// function templated over the compiled-Match step; the executor's
+/// computed-goto loop repeats it verbatim. The dynamic μ-escape step
+/// (stepMatchDyn) matches μ-unfold clones, which exist only at run time,
+/// over the pattern AST.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -76,7 +85,7 @@ struct ExecState {
   std::unordered_map<const pattern::Pattern *, const pattern::Pattern *>
       UnfoldMemo;
 
-  /// The per-attempt reset every executor shares. Cells from a previous
+  /// The per-attempt reset. Cells from a previous
   /// attempt are unreachable once Cont and Choices reset; dropping them
   /// keeps a reused executor's footprint proportional to one attempt, not
   /// the whole batch. Leaves the executor Running with an empty
@@ -186,8 +195,8 @@ struct ExecState {
     return W;
   }
 
-  /// Verbatim FastMatcher::stepMatch: runs the pattern-AST fragments that
-  /// only exist at run time (μ-unfold clones).
+  /// One Match step over the pattern AST: runs the fragments that only
+  /// exist at run time (μ-unfold clones).
   match::MachineStatus stepMatchDyn(const pattern::Pattern *P,
                                     term::TermRef T);
 };
@@ -212,13 +221,13 @@ struct ExecGuardEnv final : public pattern::GuardEnv {
   const term::TermArena &arena() const override { return A; }
 };
 
-/// The shared cell-dispatch loop. \p Step executes one *compiled* Match
-/// cell: signature match::MachineStatus(uint32_t PC, term::TermRef T),
-/// returning Running or the result of a backtrack/fuel terminal exactly
-/// like Interpreter::stepExec. Everything else — step counting, the
-/// 1024-step engine-budget poll, guard evaluation, θ/φ checks, constraint
-/// re-dispatch, and the dynamic μ-escape — is identical across backends by
-/// construction, because it is this one function.
+/// The portable cell-dispatch loop. \p Step executes one *compiled*
+/// Match cell: signature match::MachineStatus(uint32_t PC, term::TermRef
+/// T), returning Running or the result of a backtrack/fuel terminal.
+/// Everything else — step counting, the 1024-step engine-budget poll,
+/// guard evaluation, θ/φ checks, constraint re-dispatch, and the dynamic
+/// μ-escape — is this one function; plan/Executor.cpp's computed-goto loop
+/// repeats it step for step.
 template <typename CompiledStep>
 match::MachineStatus runExecLoop(ExecState &St,
                                  const match::Machine::Options &Opts,

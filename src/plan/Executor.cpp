@@ -1,38 +1,39 @@
-//===- plan/aot/Threaded.cpp - Threaded-code backend for MatchPlans -------===//
+//===- plan/Executor.cpp - The MatchPlan executor -------------------------===//
 //
-// runThreadedLoop mirrors plan/ExecState.h's runExecLoop with the compiled
-// Match step inlined as computed-goto label bodies; threadedStep is the
-// same step as a plain switch for toolchains without the &&label
-// extension. When editing, keep plan/Interpreter.cpp open next to this
-// file — label bodies, switch cases, and the loop head must stay
-// step-for-step identical to it (tests/test_aot.cpp pins them to the
-// interpreter, which is pinned to FastMatcher and the reference Machine).
+// Program::decode resolves every instruction's operands once; the
+// executor then runs the stream. runThreadedLoop mirrors plan/ExecState.h's
+// runExecLoop with the compiled Match step inlined as computed-goto label
+// bodies; threadedStep is the same step as a plain switch for toolchains
+// without the &&label extension. When editing, keep the label bodies, the
+// switch cases, and the loop head step-for-step identical (the
+// differential suites pin this executor to the reference Machine).
 //
 //===----------------------------------------------------------------------===//
 
-#include "plan/aot/Threaded.h"
+#include "plan/Executor.h"
 
 using namespace pypm;
 using namespace pypm::plan;
-using namespace pypm::plan::aot;
 using namespace pypm::match;
 
 // Computed-goto dispatch needs the GNU &&label extension; MSVC and friends
 // run the identical stream through threadedStep's switch. Either way the
-// executed step sequence is the interpreter's.
+// executed step sequence is the same.
 #if defined(__GNUC__) || defined(__clang__)
-#define PYPM_AOT_COMPUTED_GOTO 1
+#define PYPM_PLAN_COMPUTED_GOTO 1
 #else
-#define PYPM_AOT_COMPUTED_GOTO 0
+#define PYPM_PLAN_COMPUTED_GOTO 0
 #endif
 
 namespace {
 
 /// Executes one compiled Match step at \p I against \p T — the portable
 /// switch spelling, used by the non-GNU dispatch loop. The computed-goto
-/// loop below carries the same bodies as label blocks; keep both in sync
-/// (and in sync with Interpreter::stepExec).
-MachineStatus threadedStep(ExecState *St, const LInstr *I, term::TermRef T) {
+/// loop below carries the same bodies as label blocks; keep both in sync.
+[[maybe_unused]] MachineStatus threadedStep(ExecState *St,
+                                            const DecodedInstr *I,
+                                            const uint32_t *ChildPCs,
+                                            term::TermRef T) {
   switch (I->Op) {
   case OpCode::MatchVar:
     if (St->bindVar(I->Sym, T))
@@ -42,7 +43,8 @@ MachineStatus threadedStep(ExecState *St, const LInstr *I, term::TermRef T) {
     if (I->OpId != T->op())
       return St->backtrack();
     for (uint32_t C = I->NumChildren; C-- > 0;)
-      St->Cont = St->consMatch(I->Children[C], T->child(C), St->Cont);
+      St->Cont = St->consMatch(ChildPCs[I->FirstChild + C], T->child(C),
+                                St->Cont);
     return MachineStatus::Running;
   case OpCode::MatchFunVarApp:
     if (I->NumChildren != T->arity())
@@ -50,7 +52,8 @@ MachineStatus threadedStep(ExecState *St, const LInstr *I, term::TermRef T) {
     if (!St->bindFunVar(I->Sym, T->op()))
       return St->backtrack();
     for (uint32_t C = I->NumChildren; C-- > 0;)
-      St->Cont = St->consMatch(I->Children[C], T->child(C), St->Cont);
+      St->Cont = St->consMatch(ChildPCs[I->FirstChild + C], T->child(C),
+                                St->Cont);
     return MachineStatus::Running;
   case OpCode::MatchAlt:
     St->pushChoice(St->consMatch(I->B, T, St->Cont));
@@ -98,7 +101,7 @@ MachineStatus threadedStep(ExecState *St, const LInstr *I, term::TermRef T) {
   return MachineStatus::Failure;
 }
 
-#if PYPM_AOT_COMPUTED_GOTO
+#if PYPM_PLAN_COMPUTED_GOTO
 
 /// The direct-threaded execution loop: runExecLoop's cell dispatch with
 /// the compiled Match step inlined as label bodies, all in one function.
@@ -114,7 +117,8 @@ MachineStatus threadedStep(ExecState *St, const LInstr *I, term::TermRef T) {
 /// expressible inside the function that declares the labels.
 MachineStatus runThreadedLoop(ExecState *StP, const Machine::Options *OptsP,
                               const pattern::GuardEnv *EnvP,
-                              const LInstr *Code,
+                              const DecodedInstr *Code,
+                              const uint32_t *ChildPCs,
                               const void *const **LabelsOut) {
   // Indexed by OpCode's numeric value (opcodes start at 1).
   static const void *const Labels[kNumOpCodes + 1] = {
@@ -130,7 +134,7 @@ MachineStatus runThreadedLoop(ExecState *StP, const Machine::Options *OptsP,
   const Machine::Options &Opts = *OptsP;
   const pattern::GuardEnv &Env = *EnvP;
   MachineStatus S = MachineStatus::Running;
-  const LInstr *I = nullptr;
+  const DecodedInstr *I = nullptr;
   term::TermRef T = nullptr;
 
   while (St.Status == MachineStatus::Running) {
@@ -157,8 +161,7 @@ MachineStatus runThreadedLoop(ExecState *StP, const Machine::Options *OptsP,
       case ActionKind::Match:
         St.Cont = Rest;
         if (A.PC == kNoPC) {
-          // Dynamic μ-escape: matches over the pattern AST, shared with
-          // every backend.
+          // Dynamic μ-escape: matches over the pattern AST.
           S = St.stepMatchDyn(A.Pat, A.T);
           if (S != MachineStatus::Running)
             St.Status = S;
@@ -217,7 +220,7 @@ MachineStatus runThreadedLoop(ExecState *StP, const Machine::Options *OptsP,
       goto AfterStep;
     }
     for (uint32_t C = I->NumChildren; C-- > 0;)
-      St.Cont = St.consMatch(I->Children[C], T->child(C), St.Cont);
+      St.Cont = St.consMatch(ChildPCs[I->FirstChild + C], T->child(C), St.Cont);
     S = MachineStatus::Running;
     goto AfterStep;
 
@@ -227,7 +230,7 @@ MachineStatus runThreadedLoop(ExecState *StP, const Machine::Options *OptsP,
       goto AfterStep;
     }
     for (uint32_t C = I->NumChildren; C-- > 0;)
-      St.Cont = St.consMatch(I->Children[C], T->child(C), St.Cont);
+      St.Cont = St.consMatch(ChildPCs[I->FirstChild + C], T->child(C), St.Cont);
     S = MachineStatus::Running;
     goto AfterStep;
 
@@ -295,7 +298,7 @@ MachineStatus runThreadedLoop(ExecState *StP, const Machine::Options *OptsP,
     // dispatch it here, label to label. The accounting is the loop
     // head's, verbatim — a fast-path step is charged exactly like a
     // loop-head step, so Steps (and therefore fuel and budget behavior)
-    // stays bit-identical to the interpreter's.
+    // stays bit-identical to the reference machine's.
     if (++St.Stats.Steps > Opts.MaxSteps) {
       St.Status = MachineStatus::OutOfFuel;
       continue;
@@ -322,26 +325,74 @@ MachineStatus runThreadedLoop(ExecState *StP, const Machine::Options *OptsP,
   return St.Status;
 }
 
-#endif // PYPM_AOT_COMPUTED_GOTO
+#endif // PYPM_PLAN_COMPUTED_GOTO
 
 } // namespace
 
-ThreadedProgram ThreadedProgram::decode(const Program &P) {
-  ThreadedProgram TP;
-  TP.L = lower(P);
-#if PYPM_AOT_COMPUTED_GOTO
+void Program::decode() {
+  Stream.clear();
+  Stream.reserve(Code.size());
+  for (const Instr &I : Code) {
+    DecodedInstr D;
+    D.Op = I.Op;
+    switch (I.Op) {
+    case OpCode::MatchVar:
+      D.Sym = Syms[I.A];
+      break;
+    case OpCode::MatchApp:
+      D.OpId = term::OpId(I.A);
+      D.FirstChild = I.FirstChild;
+      D.NumChildren = I.NumChildren;
+      break;
+    case OpCode::MatchFunVarApp:
+      D.Sym = Syms[I.A];
+      D.FirstChild = I.FirstChild;
+      D.NumChildren = I.NumChildren;
+      break;
+    case OpCode::MatchAlt:
+      D.A = I.A;
+      D.B = I.B;
+      break;
+    case OpCode::MatchGuarded:
+      D.A = I.A;
+      D.Guard = Guards[I.B];
+      break;
+    case OpCode::MatchExists:
+    case OpCode::MatchExistsFun:
+      D.A = I.A;
+      D.Sym = Syms[I.B];
+      break;
+    case OpCode::MatchConstraint:
+      D.A = I.A;
+      D.B = I.B;
+      D.Sym = Syms[I.C];
+      break;
+    case OpCode::MatchMu:
+      D.Mu = Mus[I.A];
+      break;
+    case OpCode::Fail:
+      break;
+    }
+    Stream.push_back(D);
+  }
+#if PYPM_PLAN_COMPUTED_GOTO
+  // Label addresses are function-local to runThreadedLoop and stable for
+  // the process lifetime, so priming them here keeps executor
+  // construction O(1).
   const void *const *Labels = nullptr;
-  runThreadedLoop(nullptr, nullptr, nullptr, nullptr, &Labels);
-  for (LInstr &I : TP.L.Code)
-    I.Label = Labels[static_cast<uint8_t>(I.Op)];
+  runThreadedLoop(nullptr, nullptr, nullptr, nullptr, nullptr, &Labels);
+  for (DecodedInstr &D : Stream)
+    D.Label = Labels[static_cast<uint8_t>(D.Op)];
 #endif
-  return TP;
 }
 
-MachineStatus ThreadedExec::matchEntry(size_t EntryIdx, term::TermRef T) {
-  assert(EntryIdx < TP.L.Roots.size() && "entry index out of range");
+MachineStatus Executor::matchEntry(size_t EntryIdx, term::TermRef T) {
+  assert(EntryIdx < Prog.Entries.size() && "entry index out of range");
   St.resetAttempt(Opts.MaxMuUnfolds);
-  St.Cont = St.consMatch(TP.L.Roots[EntryIdx], T, nullptr);
+  St.Cont = St.consMatch(Prog.Entries[EntryIdx].RootPC, T, nullptr);
+  // Profiling is observation-only: counters after the run, never a branch
+  // inside it. Only the first terminal counts as the attempt's outcome;
+  // resume() continuations are part of the same attempt.
   if (Prof)
     Prof->noteAttempt(EntryIdx);
   MachineStatus S = runLoop();
@@ -350,7 +401,7 @@ MachineStatus ThreadedExec::matchEntry(size_t EntryIdx, term::TermRef T) {
   return S;
 }
 
-MachineStatus ThreadedExec::resume() {
+MachineStatus Executor::resume() {
   if (St.Status != MachineStatus::Success)
     return St.Status;
   St.Status = MachineStatus::Running;
@@ -359,19 +410,21 @@ MachineStatus ThreadedExec::resume() {
   return runLoop();
 }
 
-MachineStatus ThreadedExec::runLoop() {
+MachineStatus Executor::runLoop() {
   ExecGuardEnv Env(St, Arena);
-  const LInstr *Code = TP.L.Code.data();
-#if PYPM_AOT_COMPUTED_GOTO
-  return runThreadedLoop(&St, &Opts, &Env, Code, nullptr);
+  const DecodedInstr *Code = Prog.Stream.data();
+  const uint32_t *ChildPCs = Prog.ChildPCs.data();
+#if PYPM_PLAN_COMPUTED_GOTO
+  return runThreadedLoop(&St, &Opts, &Env, Code, ChildPCs, nullptr);
 #else
-  return runExecLoop(St, Opts, Env, [this, Code](uint32_t PC, term::TermRef T) {
-    return threadedStep(&St, Code + PC, T);
-  });
+  return runExecLoop(St, Opts, Env,
+                     [this, Code, ChildPCs](uint32_t PC, term::TermRef T) {
+                       return threadedStep(&St, Code + PC, ChildPCs, T);
+                     });
 #endif
 }
 
-MatchResult ThreadedExec::matchOne(size_t EntryIdx, term::TermRef T) {
+MatchResult Executor::matchOne(size_t EntryIdx, term::TermRef T) {
   MachineStatus S = matchEntry(EntryIdx, T);
   MatchResult R;
   R.Status = S;
@@ -381,16 +434,10 @@ MatchResult ThreadedExec::matchOne(size_t EntryIdx, term::TermRef T) {
   return R;
 }
 
-MatchResult ThreadedExec::run(const ThreadedProgram &TP, size_t EntryIdx,
-                              term::TermRef T, const term::TermArena &Arena,
-                              Machine::Options Opts, Profile *Prof) {
-  ThreadedExec M(TP, Arena, Opts);
+MatchResult Executor::run(const Program &Prog, size_t EntryIdx,
+                          term::TermRef T, const term::TermArena &Arena,
+                          Machine::Options Opts, Profile *Prof) {
+  Executor M(Prog, Arena, Opts);
   M.setProfile(Prof);
-  MachineStatus S = M.matchEntry(EntryIdx, T);
-  MatchResult R;
-  R.Status = S;
-  if (S == MachineStatus::Success)
-    R.W = M.witness();
-  R.Stats = M.stats();
-  return R;
+  return M.matchOne(EntryIdx, T);
 }

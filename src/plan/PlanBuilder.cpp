@@ -142,7 +142,7 @@ struct Compiler {
       break;
     }
     case PatternKind::Mu:
-      // μ bodies are not compiled: the interpreter unfolds them on demand
+      // μ bodies are not compiled: the executor unfolds them on demand
       // through the arena, exactly like the per-pattern machines, so the
       // unfold budget and step accounting stay identical.
       I.Op = OpCode::MatchMu;
@@ -561,6 +561,7 @@ Program PlanBuilder::compile(const rewrite::RuleSet &Rules,
     P.Entries.push_back(EC);
   }
   buildTree(P, Rules, Sig);
+  P.decode();
   return P;
 }
 

@@ -49,6 +49,7 @@ public:
   /// the candidate mask is positional and edge keys are unique per list,
   /// so the emitted candidate *set*, and with it every match stream, is
   /// bit-identical to the unprofiled plan (tests/test_planprofile.cpp).
+  /// The bytecode, and with it the decoded Stream, is untouched.
   ///
   /// Returns false without touching \p P when the profile is not bound to
   /// this plan (signature or shape mismatch — e.g. recorded against a

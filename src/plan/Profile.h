@@ -4,7 +4,7 @@
 /// A plan::Profile is the observation side of profile-guided plan
 /// ordering: per-group visit counters and per-edge hit counters for the
 /// discrimination tree, plus per-entry committed attempt/match counters
-/// from the interpreter. PlanBuilder::applyProfile consumes one to reorder
+/// from the executor. PlanBuilder::applyProfile consumes one to reorder
 /// the tree's edge lists, group lists, accept lists, and wildcard list —
 /// layout-only permutations that can never change the candidate *set* the
 /// tree emits (the mask is positional), hence never the match stream.

@@ -2,13 +2,14 @@
 ///
 /// \file
 /// The compiled form of an entire rule set: one MatchPlan. Where the
-/// per-pattern matchers (Machine, FastMatcher) interpret the pattern AST
-/// one node at a time for one pattern at a time, a plan::Program lowers
-/// *all* patterns of a rewrite::RuleSet together into
+/// reference Machine interprets the pattern AST one node at a time for one
+/// pattern at a time, a plan::Program lowers *all* patterns of a
+/// rewrite::RuleSet together into
 ///
 ///  - a flat, table-driven bytecode (one Instr per pattern node, one
-///    contiguous PC range per rule-set entry) executed by plan::Interpreter
-///    with exactly the reference machine's small-step semantics, and
+///    contiguous PC range per rule-set entry), pre-decoded once into the
+///    threaded Stream that plan::Executor runs with exactly the reference
+///    machine's small-step semantics, and
 ///  - a discrimination tree over (path, operator/arity) tests that factors
 ///    the common prefixes of every pattern — and of every alternate inside
 ///    each pattern — so a single traversal per graph node yields the
@@ -47,7 +48,7 @@ struct TraversalTrace;
 
 /// One opcode per pattern construct (Fig. 15). The continuation-only
 /// actions of the machine (guard, checkName, checkFunName, matchConstr)
-/// are not instructions: the interpreter materializes them as continuation
+/// are not instructions: the executor materializes them as continuation
 /// cells when executing the owning instruction, exactly as the reference
 /// machine pushes them as actions.
 enum class OpCode : uint8_t {
@@ -73,6 +74,29 @@ struct Instr {
   OpCode Op = OpCode::MatchVar;
   uint32_t A = 0, B = 0, C = 0;
   uint32_t FirstChild = 0, NumChildren = 0;
+};
+
+/// One pre-decoded instruction: Stream[PC] executes exactly what Code[PC]
+/// describes, with its side-table operands already resolved to the values
+/// the step reads (the interned Symbol, the operator id, the GuardExpr /
+/// MuPattern pointers). Decoding renames no PC and reorders nothing, so
+/// the executed step sequence is the bytecode's. Only the fields the
+/// opcode reads are set. Nothing here points into the owning Program —
+/// children stay an index into ChildPCs — so a Program copies and moves
+/// by value with its stream intact.
+struct DecodedInstr {
+  OpCode Op = OpCode::Fail;
+  /// Computed-goto dispatch target inside the executor's loop (GCC/Clang);
+  /// null where the build dispatches through a switch.
+  const void *Label = nullptr;
+  Symbol Sym;                                ///< resolved Syms[] operand
+  term::OpId OpId;                           ///< MatchApp operator
+  const pattern::GuardExpr *Guard = nullptr; ///< MatchGuarded
+  const pattern::MuPattern *Mu = nullptr;    ///< MatchMu
+  uint32_t FirstChild = 0;                   ///< into ChildPCs
+  uint32_t NumChildren = 0;
+  uint32_t A = 0; ///< sub/left PC (Alt/Guarded/Exists*/Constraint)
+  uint32_t B = 0; ///< right PC (Alt) / constraint PC (Constraint)
 };
 
 /// Code range and prefilter metadata for one rule-set entry.
@@ -139,6 +163,12 @@ struct Program {
   std::vector<const pattern::GuardExpr *> Guards;
   std::vector<const pattern::MuPattern *> Mus;
 
+  /// Code pre-decoded for plan::Executor (same length, same PCs). Filled
+  /// by decode(), which PlanBuilder::compile runs once; the .pypmplan
+  /// loader hands out a compiled Program and applyProfile permutes only
+  /// the tree, so every Program a caller receives is already decoded.
+  std::vector<DecodedInstr> Stream;
+
   // Discrimination tree (never serialized: deterministically rebuilt from
   // the patterns, so a hostile artifact cannot smuggle in a wrong one).
   std::vector<TreeNode> Tree; ///< [0] is the root when non-empty
@@ -164,6 +194,10 @@ struct Program {
   bool ProfileApplied = false;
 
   size_t numEntries() const { return Entries.size(); }
+
+  /// (Re)builds Stream from Code and the side tables. Defined next to the
+  /// executor's dispatch labels (plan/Executor.cpp).
+  void decode();
 
   /// One traversal of the discrimination tree at graph node \p N: sets
   /// Mask[I] = 1 for every entry I that can possibly match the tree

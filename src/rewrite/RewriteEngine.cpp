@@ -41,12 +41,9 @@
 #include "analysis/Analysis.h"
 #include "analysis/CriticalPairs.h"
 #include "match/Declarative.h"
-#include "match/FastMatcher.h"
-#include "plan/Interpreter.h"
+#include "plan/Executor.h"
 #include "plan/PlanBuilder.h"
 #include "plan/Profile.h"
-#include "plan/aot/Library.h"
-#include "plan/aot/Threaded.h"
 #include "search/Search.h"
 #include "support/FaultInjection.h"
 #include "support/ThreadPool.h"
@@ -199,26 +196,6 @@ struct NodeDiscovery {
   bool Traced = false;
 };
 
-/// Reused matcher instances for batch mode (RewriteOptions::Batch), one
-/// set per term arena: the serial/commit path owns one against the
-/// engine arena, each discovery worker owns one against its private
-/// arena. Reuse amortizes matcher construction — the scratch pattern
-/// arena, the μ-unfold memo, container capacity — across every attempt
-/// issued against that arena; see Interpreter::matchOne and
-/// FastMatcher::matchOne for why reuse is observationally identical to
-/// fresh construction (every counter, status, and visible binding
-/// matches). The reference Machine is deliberately left un-batched: it
-/// is the semantic yardstick, not a production path.
-struct BatchMatchers {
-  std::unique_ptr<plan::Interpreter> Interp;
-  std::unique_ptr<match::FastMatcher> Fast;
-  /// The AOT tiers always reuse their executor (construction amortization
-  /// is part of their speedup); matchOne reuse is pinned observationally
-  /// identical to fresh construction by the test_aot differentials.
-  std::unique_ptr<plan::aot::ThreadedExec> Thr;
-  std::unique_ptr<plan::aot::SoExec> So;
-};
-
 class Engine {
 public:
   Engine(Graph &G, const RuleSet &Rules, const graph::ShapeInference *SI,
@@ -237,8 +214,8 @@ public:
         for (size_t I = 0; I != NumEntries; ++I)
           if (entryName(Rules.entries()[I]) == Name)
             Quarantined[I] = 1;
-    MK = Opts.matcher();
-    if (planFamily(MK)) {
+    MK = Opts.Matcher;
+    if (MK == MatcherKind::Plan) {
       if (Opts.PrecompiledPlan && planMatchesRules(*Opts.PrecompiledPlan)) {
         Plan = Opts.PrecompiledPlan;
       } else {
@@ -249,38 +226,7 @@ public:
         Plan = OwnedPlan.get();
       }
     }
-    if (MK == MatcherKind::PlanThreaded) {
-      // One pre-decode per run (operands resolved, dispatch labels primed)
-      // unless the caller handed in a stream decoded from this very plan —
-      // then even the per-run decode disappears. Every attempt (fresh or
-      // reused executor) runs the same stream either way.
-      if (Opts.PrecompiledThreaded &&
-          &Opts.PrecompiledThreaded->prog() == Plan) {
-        Threaded = Opts.PrecompiledThreaded;
-      } else {
-        OwnedThreaded = std::make_unique<plan::aot::ThreadedProgram>(
-            plan::aot::ThreadedProgram::decode(*Plan));
-        Threaded = OwnedThreaded.get();
-      }
-    } else if (MK == MatcherKind::PlanAot) {
-      // The library was validated by whoever loaded it, but against *their*
-      // plan; this run's plan may be a fresh compile. Re-check, and demote
-      // to the interpreter rather than run a mismatched artifact.
-      if (Opts.AotLib && Opts.AotLib->matches(*Plan)) {
-        AotLib = Opts.AotLib;
-      } else {
-        if (Opts.Diags)
-          Opts.Diags->warning(
-              {}, "aot.fallback",
-              Opts.AotLib
-                  ? "emitted-plan library does not match this run's plan "
-                    "(stale artifact?); falling back to the interpreter"
-                  : "matcher plan-aot selected but no emitted-plan library "
-                    "was supplied; falling back to the interpreter");
-        MK = MatcherKind::Plan;
-      }
-    }
-    if (planFamily(MK) && Opts.PlanProfile) {
+    if (MK == MatcherKind::Plan && Opts.PlanProfile) {
       // Arm committed-order profile recording. A populated profile that was
       // recorded against a different plan (stale ruleset) must not be mixed
       // in: skip recording, warn, and run unprofiled — outcomes are
@@ -301,23 +247,17 @@ public:
     }
     Faults = Opts.Faults ? Opts.Faults : FaultInjector::global();
     // The batched frontier sweep replaces per-node discrimination-tree
-    // walks; it only exists where those walks exist. Matcher *reuse* (the
-    // other half of batch mode) keys off Opts.Batch alone.
-    BatchActive = Opts.Batch && planFamily(MK) && Opts.UseRootIndex;
-    // The serial path's reused AOT executors are constructed here, not
-    // lazily at the first attempt: construction is run setup, and leaving
-    // it lazy would bill the first *timed* attempt for it (visible as a
-    // fixed per-run cost in DiscoverySeconds on small graphs). Placed
-    // after the budget wiring above — executors copy MachineOpts, so an
-    // earlier construction would silently drop the budget poll.
-    if (Opts.NumThreads == 0) {
-      if (MK == MatcherKind::PlanThreaded)
-        SerialBatch.Thr = std::make_unique<plan::aot::ThreadedExec>(
-            *Threaded, Arena, Opts.MachineOpts);
-      else if (MK == MatcherKind::PlanAot && AotLib)
-        SerialBatch.So = std::make_unique<plan::aot::SoExec>(
-            *Plan, *AotLib, Arena, Opts.MachineOpts);
-    }
+    // walks; it only exists where those walks exist.
+    BatchActive = Opts.Batch && MK == MatcherKind::Plan && Opts.UseRootIndex;
+    // The serial/commit path's executor is constructed here, not lazily at
+    // the first attempt: construction is run setup, and leaving it lazy
+    // would bill the first *timed* attempt for it (visible as a fixed
+    // per-run cost in DiscoverySeconds on small graphs). Placed after the
+    // budget wiring above — executors copy MachineOpts, so an earlier
+    // construction would silently drop the budget poll.
+    if (MK == MatcherKind::Plan)
+      SerialExec =
+          std::make_unique<plan::Executor>(*Plan, Arena, Opts.MachineOpts);
     return Opts.NumThreads == 0 ? runSerial(RewriteMode)
                                 : runParallel(RewriteMode);
   }
@@ -331,7 +271,9 @@ private:
     graph::TermView View;
     std::vector<PatternStats> Entry;
     std::vector<uint8_t> Cand; ///< per-node plan candidate mask scratch
-    BatchMatchers Batch;       ///< reused matchers (batch mode only)
+    /// The worker's executor over its private arena (Plan matcher; built
+    /// at the worker's first attempt, then reused).
+    std::unique_ptr<plan::Executor> Exec;
 
     WorkerCtx(const Graph &G, size_t NumEntries)
         : Arena(G.signature()), View(G, Arena), Entry(NumEntries) {}
@@ -346,19 +288,10 @@ private:
   RewriteStats Stats;
   Budget *Bgt = nullptr;
   FaultInjector *Faults = nullptr;
-  MatcherKind MK = MatcherKind::Fast;
+  MatcherKind MK = MatcherKind::Plan;
   /// The compiled MatchPlan when MK == Plan (borrowed or freshly built).
   const plan::Program *Plan = nullptr;
   std::unique_ptr<plan::Program> OwnedPlan;
-  /// The pre-decoded threaded stream when MK == PlanThreaded — borrowed
-  /// from Opts.PrecompiledThreaded when that decodes this run's plan,
-  /// otherwise decoded once per run into OwnedThreaded. Executors borrow
-  /// it either way.
-  const plan::aot::ThreadedProgram *Threaded = nullptr;
-  std::unique_ptr<plan::aot::ThreadedProgram> OwnedThreaded;
-  /// The validated emitted-plan library when MK == PlanAot (borrowed from
-  /// Opts.AotLib after the fingerprint re-check in run()).
-  const plan::aot::PlanLibrary *AotLib = nullptr;
   /// Armed (non-null) when Opts.PlanProfile bound to the run's plan. All
   /// counter updates happen in committed order — serial visits, commit-time
   /// trace merges, and commit-time replays — never on worker threads, so
@@ -410,8 +343,8 @@ private:
   std::vector<uint8_t> BatchMasks;
   std::vector<uint8_t> BatchRowValid;
   std::vector<plan::TraversalTrace> BatchTraces;
-  /// Reused matchers for the serial visit / commit path (batch mode).
-  BatchMatchers SerialBatch;
+  /// The serial visit / commit path's executor over Arena (Plan matcher).
+  std::unique_ptr<plan::Executor> SerialExec;
 
   // --- Fire-local commit (fireFirstRule) -------------------------------
   /// markUsersDirty's visit marks: a node is visited by the current walk
@@ -745,7 +678,7 @@ private:
   }
 
   void computeRootFilters() {
-    if (planFamily(MK))
+    if (MK == MatcherKind::Plan)
       return; // the plan's discrimination tree subsumes the root index
     RootFilters.reserve(Rules.entries().size());
     for (const RewriteEntry &E : Rules.entries())
@@ -773,7 +706,7 @@ private:
                       const std::vector<uint8_t> &Cand) const {
     if (!Opts.UseRootIndex)
       return false;
-    if (planFamily(MK))
+    if (MK == MatcherKind::Plan)
       return !Cand.empty() && !Cand[I];
     return RootFilters[I] && !RootFilters[I]->count(G.op(N));
   }
@@ -783,79 +716,30 @@ private:
   /// traversal trace (profiling).
   void planCandidates(NodeId N, std::vector<uint8_t> &Cand,
                       plan::TraversalTrace *Trace = nullptr) const {
-    if (planFamily(MK) && Opts.UseRootIndex)
+    if (MK == MatcherKind::Plan && Opts.UseRootIndex)
       Plan->candidates(G, N, Cand, Trace);
     else
       Cand.clear();
   }
 
-  /// One matcher run, dispatched over the active MatcherKind. Per-attempt
-  /// observable behavior (status, witness, stats) is identical across the
-  /// three; only cost differs. \p RecProf is the profile to record entry
+  /// One matcher run under the active MatcherKind. Per-attempt observable
+  /// behavior (status, visible witness, stats) is identical across the
+  /// two; only cost differs. \p RecProf is the profile to record entry
   /// attempt/match counters into: the serial visit passes the armed
   /// profile, discovery workers always pass nullptr (committed order only
   /// — commitNode replays the counters from the attempt records instead).
-  /// \p BM, when non-null (batch mode), supplies reused matcher instances
-  /// for \p A — constructed on first use, then amortized across every
-  /// attempt against that arena; the reference Machine always runs fresh.
+  /// \p Exec is the reused executor for \p A, built on first use; the
+  /// reference Machine always runs fresh.
   MatchResult runMatcher(size_t EntryIdx, const RewriteEntry &E,
                          term::TermRef T, const term::TermArena &A,
-                         plan::Profile *RecProf = nullptr,
-                         BatchMatchers *BM = nullptr) const {
-    switch (MK) {
-    case MatcherKind::Plan:
-      if (BM) {
-        if (!BM->Interp)
-          BM->Interp = std::make_unique<plan::Interpreter>(*Plan, A,
-                                                           Opts.MachineOpts);
-        BM->Interp->setProfile(RecProf);
-        return BM->Interp->matchOne(EntryIdx, T);
-      }
-      return plan::Interpreter::run(*Plan, EntryIdx, T, A, Opts.MachineOpts,
-                                    RecProf);
-    case MatcherKind::PlanThreaded:
-      if (BM) {
-        if (!BM->Thr)
-          BM->Thr = std::make_unique<plan::aot::ThreadedExec>(
-              *Threaded, A, Opts.MachineOpts);
-        BM->Thr->setProfile(RecProf);
-        return BM->Thr->matchOne(EntryIdx, T);
-      }
-      return plan::aot::ThreadedExec::run(*Threaded, EntryIdx, T, A,
-                                          Opts.MachineOpts, RecProf);
-    case MatcherKind::PlanAot:
-      if (BM) {
-        if (!BM->So)
-          BM->So = std::make_unique<plan::aot::SoExec>(*Plan, *AotLib, A,
-                                                       Opts.MachineOpts);
-        BM->So->setProfile(RecProf);
-        return BM->So->matchOne(EntryIdx, T);
-      }
-      return plan::aot::SoExec::run(*Plan, *AotLib, EntryIdx, T, A,
-                                    Opts.MachineOpts, RecProf);
-    case MatcherKind::Fast:
-      if (BM) {
-        if (!BM->Fast)
-          BM->Fast =
-              std::make_unique<match::FastMatcher>(A, Opts.MachineOpts);
-        return BM->Fast->matchOne(E.Pattern->Pat, T);
-      }
-      return match::FastMatcher::run(E.Pattern->Pat, T, A, Opts.MachineOpts);
-    case MatcherKind::Machine:
-      break;
-    }
-    return match::matchPattern(E.Pattern->Pat, T, A, Opts.MachineOpts);
-  }
-
-  /// Whether a call site's reusable BatchMatchers should actually be used:
-  /// always for the AOT tiers (executor reuse is part of their speedup and
-  /// matchOne reuse is differentially pinned), otherwise only in batch
-  /// mode — keeping Plan/Fast per-attempt behavior exactly as before.
-  BatchMatchers *maybeBatch(BatchMatchers *BM) const {
-    if (Opts.Batch || MK == MatcherKind::PlanThreaded ||
-        MK == MatcherKind::PlanAot)
-      return BM;
-    return nullptr;
+                         plan::Profile *RecProf,
+                         std::unique_ptr<plan::Executor> &Exec) const {
+    if (MK == MatcherKind::Machine)
+      return match::matchPattern(E.Pattern->Pat, T, A, Opts.MachineOpts);
+    if (!Exec)
+      Exec = std::make_unique<plan::Executor>(*Plan, A, Opts.MachineOpts);
+    Exec->setProfile(RecProf);
+    return Exec->matchOne(EntryIdx, T);
   }
 
   static std::string entryName(const RewriteEntry &E) {
@@ -911,7 +795,7 @@ private:
         if (Faults && Faults->atAttemptSite(Stats.Passes, N, I))
           throw InjectedFault("injected fault: attempt site");
         term::TermRef T = W.View.termFor(N);
-        MR = runMatcher(I, E, T, W.Arena, nullptr, maybeBatch(&W.Batch));
+        MR = runMatcher(I, E, T, W.Arena, nullptr, W.Exec);
       } catch (...) {
         W.View.invalidate();
         A.Kind = AttemptKind::Threw;
@@ -1000,7 +884,7 @@ private:
         PS.Seconds += A.Seconds;
         chargeAttempt(A.Steps, A.MuUnfolds);
         if (Prof)
-          Prof->noteAttempt(A.Entry); // replay of the interpreter's counter
+          Prof->noteAttempt(A.Entry); // replay of the executor's counter
         if (A.Fuel) {
           ++PS.FuelExhausted;
           noteFuelExhaust(A.Entry);
@@ -1255,7 +1139,7 @@ private:
         if (Faults && Faults->atAttemptSite(Stats.Passes, N, I))
           throw InjectedFault("injected fault: attempt site");
         term::TermRef T = View.termFor(N);
-        MR = runMatcher(I, E, T, Arena, Prof, maybeBatch(&SerialBatch));
+        MR = runMatcher(I, E, T, Arena, Prof, SerialExec);
       } catch (const std::exception &Ex) {
         View.invalidate();
         RecDead = true; // absorbed fault: not replayable

@@ -65,11 +65,6 @@ struct Profile;
 struct Program;
 } // namespace pypm::plan
 
-namespace pypm::plan::aot {
-class PlanLibrary;
-struct ThreadedProgram;
-} // namespace pypm::plan::aot
-
 namespace pypm::sim {
 class CostModel;
 } // namespace pypm::sim
@@ -202,31 +197,18 @@ enum class Traversal : uint8_t {
   RootsFirst,
 };
 
-/// Which matcher executes the per-(node, pattern) attempts. All five are
-/// observably identical per attempt — same status, witness, resume stream,
-/// and step counters (the differential suites assert it); they differ in
-/// cost and in how the engine prefilters:
-///  - Machine: the reference machine of Figs. 17-18;
-///  - Fast: the optimized trail-based FastMatcher (root-op prefilter);
+/// Which matcher executes the per-(node, pattern) attempts. Both are
+/// observably identical per attempt — same status, visible witness, resume
+/// stream, and step counters (the differential suites assert it); they
+/// differ in cost and in how the engine prefilters:
+///  - Machine: the reference machine of Figs. 17-18, prefiltered by a
+///    per-pattern root-operator index — the oracle every differential
+///    compares against;
 ///  - Plan: the whole rule set compiled into one shared discrimination-tree
-///    bytecode program (plan::Program); one tree traversal per node yields
-///    the candidate set for all patterns at once;
-///  - PlanThreaded: the same plan::Program pre-decoded once per run into a
-///    direct-threaded instruction stream (operands resolved, computed-goto
-///    dispatch where the compiler supports it) — toolchain-free, always
-///    available;
-///  - PlanAot: the same program executed by an emitted-C++ .so supplied via
-///    RewriteOptions::AotLib. A missing or fingerprint-mismatched library
-///    is a warning plus interpreter fallback, never an error or UB.
-enum class MatcherKind : uint8_t { Machine, Fast, Plan, PlanThreaded, PlanAot };
-
-/// True for the matchers that execute a compiled plan::Program (and hence
-/// share the discrimination-tree prefilter, PlanProfile recording, and the
-/// batched frontier sweep): Plan, PlanThreaded, PlanAot.
-inline bool planFamily(MatcherKind MK) {
-  return MK == MatcherKind::Plan || MK == MatcherKind::PlanThreaded ||
-         MK == MatcherKind::PlanAot;
-}
+///    bytecode program (plan::Program), run by plan::Executor over its
+///    pre-decoded stream; one tree traversal per node yields the candidate
+///    set for all patterns at once.
+enum class MatcherKind : uint8_t { Machine, Plan };
 
 /// How commits are selected once matches are discovered (see DESIGN.md
 /// §"Cost-directed search"). Greedy is §2.4's strategy: fire the first
@@ -249,35 +231,20 @@ struct RewriteOptions {
   unsigned MaxPasses = 64;
   uint64_t MaxRewrites = 1'000'000;
   /// Enables match-attempt prefiltering: the per-pattern root-operator
-  /// index (Machine/Fast) or the shared discrimination tree (Plan).
+  /// index (Machine) or the shared discrimination tree (Plan).
   bool UseRootIndex = true;
   bool MemoizeTermView = true;
-  /// Match with the optimized trail-based matcher (FastMatcher). Disable
-  /// to run the reference machine of Figs. 17-18 instead; results are
-  /// identical (tests assert it), only cost differs (bench_ablation
-  /// quantifies it). Subsumed by Matcher when that is set.
-  bool UseFastMatcher = true;
-  /// Explicit matcher selection; unset defers to UseFastMatcher (the
-  /// pre-MatchPlan knob, kept so existing ablation configs keep meaning
-  /// what they meant).
-  std::optional<MatcherKind> Matcher;
-  /// With a plan-family matcher: use this already-compiled program instead of
-  /// compiling one per run (e.g. loaded from a .pypmplan). Borrowed, must
-  /// outlive the run, and must have been compiled from an identical rule
-  /// set — the engine verifies entry names and falls back to a fresh
+  /// The matcher that runs the attempts (bench_ablation quantifies the
+  /// cost difference; results are identical, tests assert it).
+  MatcherKind Matcher = MatcherKind::Plan;
+  /// Use this already-compiled program instead of compiling one per run
+  /// (e.g. loaded from a .pypmplan) wherever a plan runs: the Plan matcher,
+  /// and the cost-directed search loop under either matcher. Borrowed,
+  /// must outlive the run, and must have been compiled from an identical
+  /// rule set — the engine verifies entry names and falls back to a fresh
   /// compile on mismatch.
   const plan::Program *PrecompiledPlan = nullptr;
-  /// With Matcher == PlanThreaded: the pre-decoded threaded stream to
-  /// execute with, instead of decoding one per run. Borrowed, must outlive
-  /// the run, and must have been decoded from the exact Program the run
-  /// executes (the engine checks the decode's program pointer against the
-  /// plan it resolved and silently re-decodes on mismatch — a stream
-  /// decoded from some other plan is never run). Decode is cheap but its
-  /// allocations land mid-heap right before term building; batch servers
-  /// (PlanCache) and benches decode once per cached plan and pass it here
-  /// so per-run cost is attempts only.
-  const plan::aot::ThreadedProgram *PrecompiledThreaded = nullptr;
-  /// With a plan-family matcher: record a discrimination-tree/interpreter
+  /// With the Plan matcher: record a discrimination-tree/executor
   /// profile of the run into this profile (see plan/Profile.h). Borrowed,
   /// must outlive the run. An empty profile is bound to the run's plan; a
   /// populated one keeps accumulating if it is bound to the same plan,
@@ -286,19 +253,6 @@ struct RewriteOptions {
   /// traversal traces merge at commit — so the recorded profile is
   /// bit-identical at any NumThreads (tests/test_planprofile.cpp).
   plan::Profile *PlanProfile = nullptr;
-  /// With Matcher == PlanAot: the loaded emitted-plan library (see
-  /// plan/aot/Library.h) to execute attempts with. Borrowed, must outlive
-  /// the run. The engine re-validates its fingerprints against the plan it
-  /// actually runs (compiled or precompiled); null or mismatched demotes
-  /// the run to the interpreter with a Diags warning — the fallback ladder
-  /// ends in working code, never in refusing to rewrite.
-  const plan::aot::PlanLibrary *AotLib = nullptr;
-
-  MatcherKind matcher() const {
-    if (Matcher)
-      return *Matcher;
-    return UseFastMatcher ? MatcherKind::Fast : MatcherKind::Machine;
-  }
   Traversal Order = Traversal::OperandsFirst;
   /// Incremental re-discovery: remember each node's complete, fruitless,
   /// fault-free visit (the per-attempt outcome sequence) across passes and
@@ -314,17 +268,13 @@ struct RewriteOptions {
   /// faults land at the identical committed attempt
   /// (tests/test_incremental.cpp proves all of it differentially).
   bool Incremental = false;
-  /// Batched discovery: amortize per-attempt setup across the pass. With
-  /// the Plan matcher, one struct-of-arrays frontier sweep of the
-  /// discrimination tree computes every pass-start node's candidate mask
-  /// at once (Program::batchCandidates) and one reused Interpreter — with
-  /// its μ-unfold memo keyed on the hash-consed pattern nodes — serves
-  /// every committed attempt; with the Fast matcher, one reused
-  /// FastMatcher serves every attempt (the parity mode, so differentials
-  /// stay three-way). Bit-identical to per-root discovery: a memo hit
-  /// still pays its unfold step, and a fire invalidates the dirty region's
-  /// precomputed masks exactly like the incremental memo. The reference
-  /// Machine is deliberately left un-batched.
+  /// Batched discovery: with the Plan matcher and the prefilter on, one
+  /// struct-of-arrays frontier sweep of the discrimination tree computes
+  /// every pass-start node's candidate mask at once
+  /// (Program::batchCandidates) instead of one tree walk per node.
+  /// Bit-identical to per-root discovery: a fire invalidates the dirty
+  /// region's precomputed masks exactly like the incremental memo. A no-op
+  /// under the reference Machine, which has no tree.
   bool Batch = false;
   /// Worker threads for the parallel match-discovery phase. 0 runs the
   /// serial legacy engine (kept for the ablation benches); N >= 1 fans

@@ -3,10 +3,11 @@
 // Structure of one search step (searchRewrite's outer loop):
 //
 //  1. COMMITTED ENUMERATION (serial, canonical order): walk the live nodes
-//     ascending, try every non-quarantined entry — through the plan-family
-//     discrimination-tree prefilter (and the batched frontier sweep under
-//     --batch) when one is selected — and enumerate up to SearchWitnesses
-//     witnesses per match via resume. Every witness with a passing rule
+//     ascending, try every non-quarantined entry on the run's plan
+//     executor — through the discrimination-tree prefilter (and the
+//     batched frontier sweep under --batch) when the Plan matcher is
+//     selected — and enumerate up to SearchWitnesses witnesses per match
+//     via resume. Every witness with a passing rule
 //     guard is one Candidate. This phase carries ALL governed state:
 //     budget step/μ charges, quarantine counts, fault sites, per-pattern
 //     counters. It is bit-identical at any NumThreads because it never
@@ -18,7 +19,8 @@
 //     Beam expands all candidates and keeps the BeamWidth cheapest
 //     partial sequences per depth. Workers touch only their own clones
 //     (Graph's copy shares the Signature by reference; applyCandidate
-//     re-derives the witness in a private arena), results land in
+//     re-derives the witness in a private arena on the shared, immutable
+//     plan), results land in
 //     index-addressed slots, and ranking is a stable sort on cost — ties
 //     resolve to the canonical enumeration order. No budget charges, no
 //     fault-injector consultation: speculation is hermetic by contract,
@@ -38,9 +40,8 @@
 #include "search/Search.h"
 
 #include "graph/TermView.h"
-#include "match/FastMatcher.h"
+#include "plan/Executor.h"
 #include "plan/PlanBuilder.h"
-#include "plan/Program.h"
 #include "support/FaultInjection.h"
 #include "support/ThreadPool.h"
 
@@ -87,6 +88,16 @@ int firstPassingRule(const RewriteEntry &E, const match::Witness &W,
   return -1;
 }
 
+/// \p Given when supplied, otherwise a fresh compile of \p Rules into
+/// \p Owned (the hermetic entry points' callers without a plan).
+const plan::Program &planFor(const plan::Program *Given, const RuleSet &Rules,
+                             const Graph &G, plan::Program &Owned) {
+  if (Given)
+    return *Given;
+  Owned = plan::PlanBuilder::compile(Rules, G.signature());
+  return Owned;
+}
+
 } // namespace
 
 std::vector<Candidate>
@@ -95,6 +106,8 @@ pypm::search::enumerateCandidates(const Graph &G, const RuleSet &Rules,
   std::vector<Candidate> Out;
   term::TermArena Arena(G.signature());
   graph::TermView View(G, Arena);
+  plan::Program Owned;
+  plan::Executor M(planFor(EO.Plan, Rules, G, Owned), Arena, EO.MachineOpts);
   const auto &Entries = Rules.entries();
   for (NodeId N = 0; N < G.numNodes(); ++N) {
     if (G.isDead(N))
@@ -105,10 +118,9 @@ pypm::search::enumerateCandidates(const Graph &G, const RuleSet &Rules,
       const RewriteEntry &E = Entries[I];
       if (E.Rules.empty())
         continue; // match-only: nothing can fire
-      match::FastMatcher M(Arena, EO.MachineOpts);
       MachineStatus S;
       try {
-        S = M.match(E.Pattern->Pat, View.termFor(N));
+        S = M.matchEntry(I, View.termFor(N));
       } catch (...) {
         continue; // hermetic: a throwing attempt yields no candidates
       }
@@ -141,13 +153,15 @@ ApplyResult pypm::search::applyCandidate(Graph &G, const Candidate &C,
                                          const graph::ShapeInference &SI,
                                          const sim::CostModel &CM,
                                          const match::Machine::Options &MO,
-                                         FaultInjector *Faults) {
+                                         FaultInjector *Faults,
+                                         const plan::Program *Plan) {
   ApplyResult Res;
   const RewriteEntry &E = Rules.entries()[C.Entry];
   term::TermArena Arena(G.signature());
   graph::TermView View(G, Arena);
-  match::FastMatcher M(Arena, MO);
-  MachineStatus S = M.match(E.Pattern->Pat, View.termFor(C.Node));
+  plan::Program Owned;
+  plan::Executor M(planFor(Plan, Rules, G, Owned), Arena, MO);
+  MachineStatus S = M.matchEntry(C.Entry, View.termFor(C.Node));
   for (uint32_t WI = 0; S == MachineStatus::Success && WI < C.WitnessIdx; ++WI)
     S = M.resume();
   if (S != MachineStatus::Success)
@@ -231,21 +245,21 @@ public:
         for (size_t I = 0; I != NumEntries; ++I)
           if (entryName(Rules.entries()[I]) == Name)
             Quarantined[I] = 1;
-    // Plan-family matcher kinds contribute their discrimination-tree
-    // prefilter (and, under Batch, the frontier sweep); attempts
-    // themselves run FastMatcher — per-attempt observable behavior is
-    // identical across matcher kinds, so candidates are too.
-    if (planFamily(Opts.matcher()) && Opts.UseRootIndex) {
-      if (Opts.PrecompiledPlan && planMatchesRules(*Opts.PrecompiledPlan)) {
-        Plan = Opts.PrecompiledPlan;
-      } else {
-        double C0 = nowSeconds();
-        OwnedPlan = std::make_unique<plan::Program>(
-            plan::PlanBuilder::compile(Rules, G.signature()));
-        Stats.PlanCompileSeconds = nowSeconds() - C0;
-        Plan = OwnedPlan.get();
-      }
+    // Every attempt — committed and speculative — runs on the plan
+    // executor; the Plan matcher additionally contributes the
+    // discrimination-tree prefilter (and, under Batch, the frontier
+    // sweep). Per-attempt observable behavior is identical across matcher
+    // kinds, so candidates are too.
+    if (Opts.PrecompiledPlan && planMatchesRules(*Opts.PrecompiledPlan)) {
+      Plan = Opts.PrecompiledPlan;
+    } else {
+      double C0 = nowSeconds();
+      OwnedPlan = std::make_unique<plan::Program>(
+          plan::PlanBuilder::compile(Rules, G.signature()));
+      Stats.PlanCompileSeconds = nowSeconds() - C0;
+      Plan = OwnedPlan.get();
     }
+    Prefilter = Opts.Matcher == MatcherKind::Plan && Opts.UseRootIndex;
     MachineOpts = Opts.MachineOpts;
     Bgt = Opts.EngineBudget;
     if (Bgt) {
@@ -306,6 +320,8 @@ private:
   FaultInjector *Faults = nullptr;
   const plan::Program *Plan = nullptr;
   std::unique_ptr<plan::Program> OwnedPlan;
+  /// Whether Plan's discrimination tree prefilters committed attempts.
+  bool Prefilter = false;
   std::unique_ptr<ThreadPool> Pool;
   std::vector<uint8_t> Quarantined;
   std::vector<uint32_t> FuelExhausts;
@@ -404,6 +420,7 @@ private:
     std::vector<Candidate> Out;
     term::TermArena Arena(G.signature());
     graph::TermView View(G, Arena);
+    plan::Executor M(*Plan, Arena, MachineOpts);
     const auto &Entries = Rules.entries();
     const uint64_t Sweep = Stats.SearchSteps - 1; // fault-site "pass" id
 
@@ -413,7 +430,7 @@ private:
     std::vector<NodeId> BatchRoots;
     std::vector<uint32_t> BatchRow;
     std::vector<uint8_t> BatchMasks;
-    const bool Batched = Opts.Batch && Plan != nullptr;
+    const bool Batched = Opts.Batch && Prefilter;
     if (Batched) {
       BatchRow.assign(G.numNodes(), UINT32_MAX);
       for (NodeId N = 0; N < G.numNodes(); ++N)
@@ -435,7 +452,7 @@ private:
       const uint8_t *Cand = nullptr;
       if (Batched) {
         Cand = &BatchMasks[size_t(BatchRow[N]) * Entries.size()];
-      } else if (Plan) {
+      } else if (Prefilter) {
         Plan->candidates(G, N, Mask);
         Cand = Mask.data();
       }
@@ -451,12 +468,11 @@ private:
           continue;
         }
         double T0 = nowSeconds();
-        match::FastMatcher M(Arena, MachineOpts);
         MachineStatus S;
         try {
           if (Faults && Faults->atAttemptSite(Sweep, N, I))
             throw InjectedFault("injected fault: attempt site");
-          S = M.match(E.Pattern->Pat, View.termFor(N));
+          S = M.matchEntry(I, View.termFor(N));
         } catch (const std::exception &Ex) {
           View.invalidate();
           onAttemptFault(I, Ex.what());
@@ -564,7 +580,7 @@ private:
       auto GC = std::make_unique<Graph>(G);
       try {
         E1[K].R = applyCandidate(*GC, L0[K], Rules, SI, CM, MachineOpts,
-                                 /*Faults=*/nullptr);
+                                 /*Faults=*/nullptr, Plan);
       } catch (...) {
         E1[K].R.Applied = false; // speculative fault: branch dropped
       }
@@ -593,6 +609,7 @@ private:
     EO.MachineOpts = MachineOpts;
     EO.MaxWitnesses = std::max(1u, Opts.SearchWitnesses);
     EO.SkipEntry = &Quarantined;
+    EO.Plan = Plan;
     for (unsigned Depth = 2; Depth <= Opts.Lookahead; ++Depth) {
       if (std::all_of(States.begin(), States.end(),
                       [](const BeamState &S) { return S.Terminal; }))
@@ -624,7 +641,7 @@ private:
         try {
           E[K].R = applyCandidate(*GC, Moves[Jobs[K].State][Jobs[K].Move],
                                   Rules, SI, CM, MachineOpts,
-                                  /*Faults=*/nullptr);
+                                  /*Faults=*/nullptr, Plan);
         } catch (...) {
           E[K].R.Applied = false;
         }
@@ -685,7 +702,7 @@ private:
   bool commit(const Candidate &C) {
     ApplyResult R;
     try {
-      R = applyCandidate(G, C, Rules, SI, CM, MachineOpts, Faults);
+      R = applyCandidate(G, C, Rules, SI, CM, MachineOpts, Faults, Plan);
     } catch (const std::exception &Ex) {
       onAttemptFault(C.Entry, Ex.what());
       return false;

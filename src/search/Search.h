@@ -68,6 +68,9 @@ struct EnumOptions {
   unsigned MaxWitnesses = 4;
   /// Per-entry skip mask (quarantine view); null skips nothing.
   const std::vector<uint8_t> *SkipEntry = nullptr;
+  /// The plan attempts run on; must be compiled from the enumerated rule
+  /// set. Null compiles one per call.
+  const plan::Program *Plan = nullptr;
 };
 
 /// Enumerates every fireable candidate on \p G in canonical order.
@@ -91,8 +94,8 @@ struct ApplyResult {
 /// Re-derives \p C's witness on \p G — which must be structurally
 /// identical to the graph it was enumerated on, e.g. a clone — and fires
 /// it: build the RHS, redirect uses, sweep, delta-cost. Self-contained
-/// (private arena/view/matcher), so concurrent calls on distinct clones
-/// are safe. \p Faults is consulted per guard evaluation and per RHS
+/// (private arena/view/executor over the read-only \p Plan, compiled per
+/// call when null), so concurrent calls on distinct clones are safe. \p Faults is consulted per guard evaluation and per RHS
 /// node built (the committed path passes the run's injector; speculation
 /// passes nullptr — speculation is hermetic by contract). Exceptions from
 /// guards/builders propagate to the caller AFTER the partial build has
@@ -102,7 +105,8 @@ ApplyResult applyCandidate(graph::Graph &G, const Candidate &C,
                            const graph::ShapeInference &SI,
                            const sim::CostModel &CM,
                            const match::Machine::Options &MO = {},
-                           FaultInjector *Faults = nullptr);
+                           FaultInjector *Faults = nullptr,
+                           const plan::Program *Plan = nullptr);
 
 /// The cost-directed rewrite loop. rewriteToFixpoint dispatches here when
 /// Opts.Search != Greedy and Lookahead >= 1 and BeamWidth >= 1 (the

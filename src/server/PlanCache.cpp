@@ -5,9 +5,6 @@
 #include "dsl/Sema.h"
 #include "pattern/Serializer.h"
 #include "plan/PlanBuilder.h"
-#include "plan/aot/Emitter.h"
-#include "plan/aot/Library.h"
-#include "plan/aot/Threaded.h"
 #include "support/Hash.h"
 
 #include <atomic>
@@ -18,9 +15,6 @@
 #include <unistd.h>
 
 namespace pypm::server {
-
-CachedRuleSet::CachedRuleSet() = default;
-CachedRuleSet::~CachedRuleSet() = default;
 
 //===----------------------------------------------------------------------===//
 // CachedRuleSet sticky quarantine
@@ -82,8 +76,6 @@ static std::shared_ptr<CachedRuleSet> build(std::string_view Bytes,
   E->LibBytes = pattern::serializeLibrary(E->lib(), E->Sig);
   E->Key = plan::cacheKey(E->LibBytes, E->Sig);
   E->Lint = analysis::lintRuleSet(E->rules(), E->Sig);
-  E->Thr = std::make_unique<plan::aot::ThreadedProgram>(
-      plan::aot::ThreadedProgram::decode(E->prog()));
   return E;
 }
 
@@ -103,48 +95,6 @@ std::string PlanCache::rawIndexPath(uint64_t RawKey) const {
   std::snprintf(Name, sizeof(Name), "%016llx.pypmreq",
                 (unsigned long long)RawKey);
   return Opts.Dir + "/" + Name;
-}
-
-std::string PlanCache::aotPath(uint64_t Key) const {
-  char Name[32];
-  std::snprintf(Name, sizeof(Name), "%016llx.pypmso",
-                (unsigned long long)Key);
-  return Opts.Dir + "/" + Name;
-}
-
-void PlanCache::tryAttachAot(CachedRuleSet &E) {
-  if (!Opts.Aot || Opts.Dir.empty())
-    return;
-  std::string Path = aotPath(E.Key);
-  // First rung: an artifact from a previous process. The PlanLibrary
-  // ladder (marker scan before dlopen, then ABI + fingerprint checks
-  // against this entry's exact program) is the corruption/staleness
-  // detector — anything it rejects is a miss the rebuild below repairs.
-  plan::aot::AotLoadStatus St;
-  E.AotLib = plan::aot::PlanLibrary::load(Path, E.prog(), nullptr, St);
-  if (E.AotLib) {
-    std::lock_guard<std::mutex> Lock(Mu);
-    ++Counters.AotHits;
-    return;
-  }
-  if (plan::aot::AotEmitter::findCompiler().empty()) {
-    // No toolchain in this environment: the tier is silently absent (not
-    // a failure — nothing was attempted), requests run the interpreter.
-    return;
-  }
-  ::mkdir(Opts.Dir.c_str(), 0777);
-  std::string Err;
-  if (!plan::aot::AotEmitter::buildSharedObject(E.prog(), Path, Err)) {
-    std::lock_guard<std::mutex> Lock(Mu);
-    ++Counters.AotFailures;
-    return; // best-effort tier: serve from the plan interpreter instead
-  }
-  E.AotLib = plan::aot::PlanLibrary::load(Path, E.prog(), nullptr, St);
-  std::lock_guard<std::mutex> Lock(Mu);
-  if (E.AotLib)
-    ++Counters.AotBuilds;
-  else
-    ++Counters.AotFailures; // built but failed validation: never serve it
 }
 
 /// Crash-safe install shared by the artifact and index writers: write a
@@ -221,9 +171,6 @@ std::shared_ptr<CachedRuleSet> PlanCache::tryLoadDisk(uint64_t Key) {
     return nullptr;
   }
   E->Lint = analysis::lintRuleSet(E->rules(), E->Sig);
-  E->Thr = std::make_unique<plan::aot::ThreadedProgram>(
-      plan::aot::ThreadedProgram::decode(E->prog()));
-  tryAttachAot(*E); // entry not yet shared: safe to mutate
   return E;
 }
 
@@ -431,7 +378,6 @@ PlanCache::acquire(std::string_view RawBytes, DiagnosticEngine &Diags,
   }
   tryStoreDisk(*Fresh); // repair/populate the disk tier
   tryStoreDiskIndex(RK, RawBytes, Fresh->Key);
-  tryAttachAot(*Fresh); // fourth tier: build/repair the emitted library
   insert(RK, RawBytes, Fresh);
   Src = CacheSource::Compiled;
   // insert() may have deduped to a pre-existing entry; re-resolve so every

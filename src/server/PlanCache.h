@@ -67,11 +67,6 @@
 #include <unordered_map>
 #include <vector>
 
-namespace pypm::plan::aot {
-class PlanLibrary;
-struct ThreadedProgram;
-} // namespace pypm::plan::aot
-
 namespace pypm::server {
 
 /// One compiled rule set, shared immutably across requests (only the
@@ -79,8 +74,6 @@ namespace pypm::server {
 /// copy Sig (cheap) so graph parsing can declare new operators without
 /// racing other requests.
 struct CachedRuleSet {
-  CachedRuleSet();
-  ~CachedRuleSet(); // out of line: AotLib's type is incomplete here
   uint64_t Key = 0;     ///< plan::cacheKey(LibBytes, Sig)
   std::string LibBytes; ///< canonical .pypmbin (identity check on hits)
   term::Signature Sig;
@@ -93,22 +86,12 @@ struct CachedRuleSet {
   /// Lint preflight, run once at load. Error findings make every request
   /// against this rule set LintRejected without ever reaching the engine.
   analysis::LintReport Lint;
-  /// Fourth (AOT) tier: the emitted-plan .so for prog(), validated through
-  /// the PlanLibrary ladder at attach time. Null whenever the tier is off,
-  /// the toolchain is absent, or the build/validation failed — requests
-  /// then run the interpreter tiers; the entry is always servable.
-  std::unique_ptr<plan::aot::PlanLibrary> AotLib;
-  /// Decode-once threaded stream over prog(): plan-threaded requests
-  /// against this entry skip the engine's per-run decode (and the heap
-  /// churn it would put right before term building). Built with the
-  /// entry, immutable afterwards.
-  std::unique_ptr<plan::aot::ThreadedProgram> Thr;
 
   const rewrite::RuleSet &rules() const { return LP ? LP->Rules : OwnRules; }
+  /// The compiled plan, decoded once with the entry and shared read-only
+  /// by every request's executors.
   const plan::Program &prog() const { return LP ? LP->Prog : OwnProg; }
   const pattern::Library &lib() const { return LP ? *LP->Lib : *Lib; }
-  const plan::aot::PlanLibrary *aotLib() const { return AotLib.get(); }
-  const plan::aot::ThreadedProgram *threaded() const { return Thr.get(); }
 
   /// Sticky per-rule-set quarantine (ServerOptions::StickyQuarantine):
   /// patterns a past request quarantined start later requests disabled.
@@ -133,13 +116,6 @@ public:
     /// flush: in-flight requests keep their shared_ptr entries alive); the
     /// backlog then refills from disk/compiles. Simple and bounded.
     size_t MaxEntries = 64;
-    /// Fourth (AOT) tier: alongside each <key>.pypmplan keep a
-    /// <key>.pypmso emitted-plan library, built once per entry when a C++
-    /// compiler is available and attached after validation through the
-    /// full PlanLibrary ladder. Strictly best-effort: a missing compiler,
-    /// failed build, or stale/corrupt artifact only costs the tier, never
-    /// the request. Requires Dir (the artifact needs a home).
-    bool Aot = false;
   };
 
   struct Stats {
@@ -149,9 +125,6 @@ public:
     uint64_t Compiles = 0;
     uint64_t CorruptDiskEntries = 0; ///< disk loads rejected => misses
     uint64_t Flushes = 0;
-    uint64_t AotHits = 0;   ///< valid .pypmso served from disk
-    uint64_t AotBuilds = 0; ///< .pypmso built (and validated) this process
-    uint64_t AotFailures = 0; ///< build/validation failed => tier skipped
   };
 
   PlanCache() = default;
@@ -182,13 +155,6 @@ private:
 
   std::string diskPath(uint64_t Key) const;
   std::string rawIndexPath(uint64_t RawKey) const;
-  std::string aotPath(uint64_t Key) const;
-  /// Fourth tier: attach (load-or-build) the emitted-plan library for a
-  /// freshly created entry, before the entry is shared. Stale or corrupt
-  /// artifacts are misses repaired by an atomic rebuild, exactly like the
-  /// .pypmplan tier; every failure mode leaves E servable with AotLib
-  /// null.
-  void tryAttachAot(CachedRuleSet &E);
   /// Loads <dir>/<key>.pypmplan; nullptr (and ++CorruptDiskEntries when
   /// the file existed) on any rejection.
   std::shared_ptr<CachedRuleSet> tryLoadDisk(uint64_t Key);

@@ -325,7 +325,9 @@ bool pypm::server::decodeRewriteRequest(std::string_view Body,
              : "truncated rewrite request body";
     return false;
   }
-  if (Named > 1 || Out.Matcher > 5 || (Flags & ~3u) != 0 || Out.Search > 3) {
+  const bool KnownMatcher =
+      Out.Matcher == 0 || Out.Matcher == 1 || Out.Matcher == 3;
+  if (Named > 1 || !KnownMatcher || (Flags & ~3u) != 0 || Out.Search > 3) {
     Err = "rewrite request field out of range";
     return false;
   }

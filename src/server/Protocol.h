@@ -101,10 +101,9 @@ struct RewriteRequest {
   uint64_t MaxMuUnfolds = 0;
   uint64_t MaxRewrites = 0;
   uint32_t Threads = 0;
-  /// 0 = server default (plan), 1 = machine, 2 = fast, 3 = plan,
-  /// 4 = plan-threaded, 5 = plan-aot (uses the cache's emitted .pypmso
-  /// when present; otherwise the engine falls back to the interpreter
-  /// with a warning — never a failed request).
+  /// 0 = server default (plan), 1 = machine, 3 = plan. Values 2, 4 and 5
+  /// named matchers that no longer exist and are rejected at decode; they
+  /// are not reused.
   uint8_t Matcher = 0;
   bool Incremental = false;
   bool Batch = false;

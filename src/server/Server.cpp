@@ -159,32 +159,11 @@ RewriteReply Server::handle(const RewriteRequest &R) {
 
   rewrite::RewriteOptions EOpts;
   EOpts.NumThreads = R.Threads;
-  switch (R.Matcher) {
-  case 1:
-    EOpts.Matcher = rewrite::MatcherKind::Machine;
-    break;
-  case 2:
-    EOpts.Matcher = rewrite::MatcherKind::Fast;
-    break;
-  case 4:
-    EOpts.Matcher = rewrite::MatcherKind::PlanThreaded;
-    break;
-  case 5:
-    EOpts.Matcher = rewrite::MatcherKind::PlanAot;
-    break;
-  default: // 0 (daemon default) and 3: the cached, shared MatchPlan
-    EOpts.Matcher = rewrite::MatcherKind::Plan;
-    break;
-  }
-  if (rewrite::planFamily(EOpts.matcher())) {
-    EOpts.PrecompiledPlan = &E->prog();
-    EOpts.PrecompiledThreaded = E->threaded(); // decode-once per entry
-    // Fourth cache tier: the validated emitted library, when the cache
-    // built one. Null (tier off, no compiler, build failed) is fine — the
-    // engine re-validates and demotes PlanAot to the interpreter with a
-    // warning rather than failing the request.
-    EOpts.AotLib = E->aotLib();
-  }
+  // 1 = the reference machine; 0 (daemon default) and 3 = the cached,
+  // shared MatchPlan. decodeRewriteRequest has rejected everything else.
+  EOpts.Matcher = R.Matcher == 1 ? rewrite::MatcherKind::Machine
+                                 : rewrite::MatcherKind::Plan;
+  EOpts.PrecompiledPlan = &E->prog();
   EOpts.Incremental = R.Incremental;
   EOpts.Batch = R.Batch;
   if (R.MaxRewrites)

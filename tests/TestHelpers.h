@@ -3,9 +3,11 @@
 /// \file
 /// Conveniences shared across the test suite: a fixture owning a Signature
 /// + TermArena + PatternArena, term parsing shorthands, witness helpers,
-/// and the zoo-differential scaffolding (runModel + the two engine-run
-/// equality bars) shared by the MatchPlan / PlanProfile / incremental
-/// suites.
+/// the two shared differential oracles — plan executor ≡ reference Machine
+/// per attempt (expectExecutorMatchesMachine) and per run
+/// (expectSameGraph) — and the zoo-differential scaffolding (runModel +
+/// the engine-run equality bars) shared by the MatchPlan / PlanProfile /
+/// incremental / fire-local / search suites.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,14 +21,18 @@
 #include "models/Zoo.h"
 #include "opt/StdPatterns.h"
 #include "pattern/Pattern.h"
+#include "plan/Executor.h"
+#include "plan/PlanBuilder.h"
 #include "rewrite/RewriteEngine.h"
 #include "search/Search.h"
 #include "sim/CostModel.h"
+#include "support/Random.h"
 #include "term/TermParser.h"
 
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <optional>
 #include <set>
 
 namespace pypm::testing {
@@ -68,6 +74,147 @@ protected:
 };
 
 //===----------------------------------------------------------------------===//
+// Plan executor ≡ reference Machine, per attempt
+//===----------------------------------------------------------------------===//
+
+/// Random (pattern, term) pairs spanning the whole core calculus — vars,
+/// apps, alternates, ∃, ∃F, match constraints, μ — over a four-operator
+/// signature (two constants, one unary, one binary).
+struct RandomCalculus {
+  term::Signature Sig;
+  term::TermArena Arena{Sig};
+  pattern::PatternArena PA;
+  Rng R;
+  term::OpId C0 = Sig.addOp("c0", 0), C1 = Sig.addOp("c1", 0);
+  term::OpId U0 = Sig.addOp("u0", 1), B0 = Sig.addOp("b0", 2);
+  std::vector<Symbol> Vars{Symbol::intern("x"), Symbol::intern("y")};
+  uint64_t Fresh = 0;
+
+  explicit RandomCalculus(uint64_t Seed) : R(Seed) {}
+
+  term::TermRef term(unsigned Depth) {
+    if (Depth == 0 || R.chance(1, 3))
+      return Arena.leaf(R.chance(1, 2) ? C0 : C1);
+    if (R.chance(1, 2))
+      return Arena.make(U0, {term(Depth - 1)});
+    term::TermRef L = term(Depth - 1);
+    return Arena.make(B0, {L, term(Depth - 1)});
+  }
+
+  const pattern::Pattern *pattern(unsigned Depth) {
+    if (Depth == 0)
+      return PA.var(Vars[R.below(2)]);
+    switch (R.below(8)) {
+    case 0:
+      return PA.var(Vars[R.below(2)]);
+    case 1:
+      return PA.app(U0, {pattern(Depth - 1)});
+    case 2: {
+      const pattern::Pattern *L = pattern(Depth - 1);
+      return PA.app(B0, {L, pattern(Depth - 1)});
+    }
+    case 3: {
+      const pattern::Pattern *L = pattern(Depth - 1);
+      return PA.alt(L, pattern(Depth - 1));
+    }
+    case 4: {
+      Symbol V = Symbol::intern("e" + std::to_string(Fresh++));
+      return PA.exists(V, PA.app(U0, {PA.var(V)}));
+    }
+    case 5: {
+      Symbol V = Vars[R.below(2)];
+      return PA.matchConstraint(PA.var(V), pattern(Depth - 1), V);
+    }
+    case 6: {
+      Symbol F = Symbol::intern("F" + std::to_string(Fresh++));
+      return PA.existsFun(F, PA.funVarApp(F, {pattern(Depth - 1)}));
+    }
+    case 7: {
+      Symbol Self = Symbol::intern("P" + std::to_string(Fresh++));
+      Symbol Param = Symbol::intern("r" + std::to_string(Fresh++));
+      const pattern::Pattern *Step = PA.app(U0, {PA.recCall(Self, {Param})});
+      Symbol Arg = Vars[R.below(2)];
+      return PA.mu(Self, {Param}, {Arg}, PA.alt(Step, pattern(Depth - 1)));
+    }
+    }
+    return PA.var(Vars[0]);
+  }
+};
+
+/// The user-visible part of a witness. μ-unfold binders carry fresh `$`
+/// names, and the executor's unfold memo reuses the first unfold's names
+/// where the reference machine freshens per retry; every other binding
+/// must agree exactly.
+inline match::Witness visibleWitness(const match::Witness &W) {
+  auto Visible = [](Symbol S) {
+    return S.str().find('$') == std::string_view::npos;
+  };
+  match::Witness Out;
+  for (const auto &[K, V] : W.Theta)
+    if (Visible(K))
+      Out.Theta.bind(K, V);
+  for (const auto &[K, V] : W.Phi)
+    if (Visible(K))
+      Out.Phi.bind(K, V);
+  return Out;
+}
+
+/// The step counters both machines maintain (MaxContDepth is the reference
+/// machine's alone: the executor's continuation is a shared cons-list).
+inline void expectStatsEqual(const match::MachineStats &A,
+                             const match::MachineStats &B) {
+  EXPECT_EQ(A.Steps, B.Steps);
+  EXPECT_EQ(A.Backtracks, B.Backtracks);
+  EXPECT_EQ(A.MuUnfolds, B.MuUnfolds);
+  EXPECT_EQ(A.VarBinds, B.VarBinds);
+  EXPECT_EQ(A.GuardEvals, B.GuardEvals);
+  EXPECT_EQ(A.GuardStuck, B.GuardStuck);
+  EXPECT_EQ(A.MaxStackDepth, B.MaxStackDepth);
+}
+
+/// The per-attempt differential oracle. Entry \p Entry of \p Prog (the
+/// compiled form of \p P) runs on a plan::Executor — \p Reused when given
+/// (the engine's reuse mode), a fresh one otherwise — next to the
+/// reference Machine on \p P; at the first terminal and after every
+/// resume() until the stream ends (at most \p MaxSolutions witnesses) the
+/// two must agree on status, visible witness, and MachineStats. Returns
+/// the executor's first result.
+inline match::MatchResult expectExecutorMatchesMachine(
+    const plan::Program &Prog, size_t Entry, const pattern::Pattern *P,
+    term::TermRef T, const term::TermArena &Arena,
+    match::Machine::Options Opts = {}, plan::Executor *Reused = nullptr,
+    size_t MaxSolutions = 64) {
+  std::optional<plan::Executor> Fresh;
+  plan::Executor &X = Reused ? *Reused : Fresh.emplace(Prog, Arena, Opts);
+  match::Machine M(Arena, Opts);
+  M.start(P, T);
+  match::MachineStatus SM = M.run();
+  match::MachineStatus SX = X.matchEntry(Entry, T);
+  match::MatchResult First;
+  First.Status = SX;
+  if (SX == match::MachineStatus::Success)
+    First.W = X.witness();
+  First.Stats = X.stats();
+  for (size_t I = 0;; ++I) {
+    SCOPED_TRACE("solution " + std::to_string(I) + " of " +
+                 Arena.toString(T));
+    EXPECT_EQ(SX, SM);
+    expectStatsEqual(X.stats(), M.stats());
+    if (SX != SM || SX != match::MachineStatus::Success)
+      break;
+    match::Witness WM;
+    WM.Theta = M.theta();
+    WM.Phi = M.phi();
+    EXPECT_EQ(visibleWitness(X.witness()), visibleWitness(WM));
+    if (I + 1 >= MaxSolutions)
+      break;
+    SM = M.resume();
+    SX = X.resume();
+  }
+  return First;
+}
+
+//===----------------------------------------------------------------------===//
 // Zoo-differential scaffolding (engine-level equivalence suites)
 //===----------------------------------------------------------------------===//
 
@@ -97,20 +244,31 @@ inline RunResult runModel(const models::ModelEntry &Model,
   return R;
 }
 
+/// The per-run differential oracle: two runs that must rewrite alike —
+/// across matcher kinds, thread counts, or amortization modes — produce
+/// the same graph text, sweep the same nodes, and fire the same number of
+/// rules.
+inline void expectSameGraph(const RunResult &A, const RunResult &B,
+                            const std::string &Label) {
+  SCOPED_TRACE(Label);
+  EXPECT_EQ(A.GraphText, B.GraphText);
+  EXPECT_EQ(A.Stats.NodesSwept, B.Stats.NodesSwept);
+  EXPECT_EQ(A.Stats.TotalFired, B.Stats.TotalFired);
+}
+
 /// What MUST agree across matcher kinds: the committed rewrite sequence
-/// and everything derived from it. Attempt-shaped counters (Attempts,
+/// and everything derived from it (expectSameGraph plus the pass, match,
+/// status and per-pattern fire counters). Attempt-shaped counters (Attempts,
 /// RootSkips, MachineSteps, Backtracks, FuelExhausted) legitimately differ
 /// — the tree prefilter skips attempts the root-op index would have
 /// started (see DESIGN.md §"MatchPlan").
 inline void expectSameRewrites(const RunResult &A, const RunResult &B,
                                const std::string &Label) {
+  expectSameGraph(A, B, Label);
   SCOPED_TRACE(Label);
-  EXPECT_EQ(A.GraphText, B.GraphText);
   EXPECT_EQ(A.Stats.Passes, B.Stats.Passes);
   EXPECT_EQ(A.Stats.NodesVisited, B.Stats.NodesVisited);
   EXPECT_EQ(A.Stats.TotalMatches, B.Stats.TotalMatches);
-  EXPECT_EQ(A.Stats.TotalFired, B.Stats.TotalFired);
-  EXPECT_EQ(A.Stats.NodesSwept, B.Stats.NodesSwept);
   EXPECT_EQ(A.Stats.Status, B.Stats.Status);
   ASSERT_EQ(A.Stats.PerPattern.size(), B.Stats.PerPattern.size());
   for (const auto &[Name, SP] : A.Stats.PerPattern) {
@@ -156,6 +314,14 @@ inline rewrite::RewriteOptions planOpts(unsigned Threads) {
   return O;
 }
 
+/// Reference-machine options at \p Threads worker threads.
+inline rewrite::RewriteOptions machineOpts(unsigned Threads) {
+  rewrite::RewriteOptions O;
+  O.Matcher = rewrite::MatcherKind::Machine;
+  O.NumThreads = Threads;
+  return O;
+}
+
 //===----------------------------------------------------------------------===//
 // Exhaustive small-graph search oracle
 //===----------------------------------------------------------------------===//
@@ -180,8 +346,10 @@ inline double exhaustiveOptimum(const graph::Graph &G,
                                 unsigned MaxWitnesses = 4,
                                 size_t MaxStates = 20000,
                                 unsigned MaxDepth = 32) {
+  const plan::Program Plan = plan::PlanBuilder::compile(Rules, G.signature());
   search::EnumOptions EO;
   EO.MaxWitnesses = MaxWitnesses;
+  EO.Plan = &Plan;
   struct State {
     std::unique_ptr<graph::Graph> G;
     unsigned Depth = 0;
@@ -201,7 +369,8 @@ inline double exhaustiveOptimum(const graph::Graph &G,
     if (S.Depth < MaxDepth)
       for (const search::Candidate &C : Cands) {
         auto GC = std::make_unique<graph::Graph>(*S.G);
-        search::ApplyResult R = search::applyCandidate(*GC, C, Rules, SI, CM);
+        search::ApplyResult R =
+            search::applyCandidate(*GC, C, Rules, SI, CM, {}, nullptr, &Plan);
         if (!R.Applied)
           continue;
         std::string Key = graph::writeGraphText(*GC);

@@ -240,7 +240,11 @@ TEST(EngineBudget, StepCeilingLeavesValidGraph) {
   BudgetLimits L;
   L.MaxTotalSteps = 10;
   Budget B(L);
+  // The reference machine's root-operator prefilter starts an attempt at
+  // every root-compatible node, so a 10-step ceiling trips on this seed;
+  // the plan's tree skips nearly all of them and would finish under it.
   rewrite::RewriteOptions Opts;
+  Opts.Matcher = rewrite::MatcherKind::Machine;
   Opts.EngineBudget = &B;
   StressOutcome Out = runStressCase(3, Opts);
   EXPECT_EQ(Out.Stats.Status.Code, EngineStatusCode::BudgetExhausted);
@@ -328,7 +332,10 @@ INSTANTIATE_TEST_SUITE_P(Threads, BudgetDifferentialTest,
 
 TEST(EngineQuarantine, StarvedRunQuarantinesAndCompletes) {
   DiagnosticEngine Diags;
+  // On the reference machine (root-operator prefilter), enough attempts
+  // start on this seed to starve a pattern past the threshold.
   rewrite::RewriteOptions Opts;
+  Opts.Matcher = rewrite::MatcherKind::Machine;
   Opts.MachineOpts.MaxSteps = 3;
   Opts.QuarantineThreshold = 2;
   Opts.Diags = &Diags;
@@ -370,6 +377,7 @@ TEST(EngineBudget, SummaryLeadsWithStatus) {
   L.MaxTotalSteps = 10;
   Budget B(L);
   rewrite::RewriteOptions Opts;
+  Opts.Matcher = rewrite::MatcherKind::Machine; // trips the 10-step ceiling
   Opts.EngineBudget = &B;
   StressOutcome Out = runStressCase(3, Opts);
   EXPECT_NE(Out.Stats.summary().find("status=budget-exhausted(steps)"),

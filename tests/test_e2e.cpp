@@ -170,10 +170,15 @@ TEST(EndToEnd, CompileTimeCostScalesWithModelSize) {
   auto GLarge = models::buildTransformer(Sig, Large);
   opt::Pipeline Pipe = opt::makePipeline(Sig, opt::OptConfig::Both);
 
+  // The paper's per-pattern matcher: the reference machine behind a
+  // root-operator index (the shared plan's tree would prune the epilog
+  // probes this test measures).
+  RewriteOptions Opts;
+  Opts.Matcher = MatcherKind::Machine;
   RewriteStats SSmall = rewriteToFixpoint(*GSmall, Pipe.Rules,
-                                          ShapeInference());
+                                          ShapeInference(), Opts);
   RewriteStats SLarge = rewriteToFixpoint(*GLarge, Pipe.Rules,
-                                          ShapeInference());
+                                          ShapeInference(), Opts);
   EXPECT_GT(SLarge.NodesVisited, SSmall.NodesVisited);
   // MHA attempts are filtered to MatMul roots; the epilog patterns probe
   // many more candidates (the paper's two-orders-of-magnitude effect).

@@ -250,7 +250,9 @@ TEST(WorkerFault, DiscoveryTaskFaultIsInvisibleInTheResult) {
 
 TEST(BudgetFault, NthChargeTripsIdenticallyAcrossThreads) {
   // onBudgetCharge is consulted only from commit-order accounting, so
-  // even this counter mode is scheduling-independent.
+  // even this counter mode is scheduling-independent. The reference
+  // machine's root-operator prefilter charges enough attempts on these
+  // seeds to reach the 5th charge; the plan's tree charges fewer.
   for (uint64_t Seed : {2u, 6u}) {
     SCOPED_TRACE("seed=" + std::to_string(Seed));
     auto Run = [&](unsigned Threads) {
@@ -258,6 +260,7 @@ TEST(BudgetFault, NthChargeTripsIdenticallyAcrossThreads) {
       C.NthBudgetCharge = 5;
       FaultInjector F(C);
       rewrite::RewriteOptions Opts;
+      Opts.Matcher = rewrite::MatcherKind::Machine;
       Opts.MaxRewrites = 100;
       Opts.NumThreads = Threads;
       Opts.Faults = &F;
@@ -313,7 +316,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SiteFaultStressTest,
 
 TEST(SiteFaultStress, ScheduleActuallyInjects) {
   // Guard against a silently disarmed harness: across the stress seeds,
-  // a 1/23 site schedule must absorb faults in plenty of runs.
+  // a 1/23 site schedule must absorb faults in plenty of runs. Sites are
+  // consulted per attempted entry, so this runs the reference machine,
+  // whose root-operator prefilter attempts far more entries than the
+  // plan's tree (test_incremental's plan-matcher sweep uses a denser
+  // schedule for that reason).
   size_t RunsWithFaults = 0;
   for (uint64_t Seed = 0; Seed != 50; ++Seed) {
     FaultInjector::Config C;
@@ -321,6 +328,7 @@ TEST(SiteFaultStress, ScheduleActuallyInjects) {
     C.SitePeriod = 23;
     FaultInjector F(C);
     rewrite::RewriteOptions Opts;
+    Opts.Matcher = rewrite::MatcherKind::Machine;
     Opts.MaxRewrites = 100;
     Opts.Faults = &F;
     RunsWithFaults += runStressCase(Seed, Opts).Stats.Status.FaultsAbsorbed > 0;
@@ -341,7 +349,10 @@ TEST(SiteFaultStress, HaltedGraphIsPrefixOfFaultFreeRun) {
     C.SitePeriod = 17;
     FaultInjector F(C);
 
+    // The reference machine attempts enough entries on these seeds for the
+    // 1/17 site schedule to arm (see ScheduleActuallyInjects).
     rewrite::RewriteOptions Opts;
+    Opts.Matcher = rewrite::MatcherKind::Machine;
     Opts.MaxRewrites = 100;
     Opts.Faults = &F;
     Opts.HaltOnFault = true;
@@ -362,6 +373,7 @@ TEST(SiteFaultStress, HaltedGraphIsPrefixOfFaultFreeRun) {
     // Transactional commit: the surviving graph equals the fault-free
     // run truncated to the same number of fires.
     rewrite::RewriteOptions Prefix;
+    Prefix.Matcher = rewrite::MatcherKind::Machine;
     Prefix.MaxRewrites = Halted.Stats.TotalFired;
     StressOutcome Clean = runStressCase(Seed, Prefix);
     EXPECT_EQ(Halted.GraphText, Clean.GraphText);

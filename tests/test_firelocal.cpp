@@ -6,8 +6,8 @@
 //
 //  - CrossMatcherRewrite: the representative a replacement reuses is the
 //    lowest-id live node with the bound term, a function of the graph
-//    alone — so graph text, NodesSwept and TotalFired agree across
-//    Machine/Fast/Plan/PlanThreaded at every thread count;
+//    alone — so graph text, NodesSwept and TotalFired agree between
+//    Machine and Plan at every thread count;
 //  - PersistentTermView: after every committed fire, the engine's view
 //    agrees with a freshly built one, term for term and representative for
 //    representative;
@@ -18,6 +18,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestHelpers.h"
+
 #include "dsl/Sema.h"
 #include "graph/GraphIO.h"
 #include "graph/ShapeInference.h"
@@ -25,6 +27,7 @@
 #include "models/Transformers.h"
 #include "models/Zoo.h"
 #include "opt/StdPatterns.h"
+#include "plan/Profile.h"
 #include "rewrite/RewriteEngine.h"
 #include "support/Random.h"
 
@@ -194,10 +197,7 @@ std::string randomDag(uint64_t Seed, unsigned NumNodes = 120) {
 }
 
 /// One engine run's committed observables.
-struct Outcome {
-  std::string GraphText;
-  rewrite::RewriteStats Stats;
-};
+using Outcome = pypm::testing::RunResult;
 
 Outcome rewriteText(const std::string &RuleText, const std::string &GraphText,
                     rewrite::RewriteOptions Opts) {
@@ -223,9 +223,7 @@ rewrite::RewriteOptions opts(MatcherKind MK, unsigned Threads) {
   return O;
 }
 
-const MatcherKind AllMatchers[] = {MatcherKind::Machine, MatcherKind::Fast,
-                                   MatcherKind::Plan,
-                                   MatcherKind::PlanThreaded};
+const MatcherKind AllMatchers[] = {MatcherKind::Machine, MatcherKind::Plan};
 const unsigned AllThreads[] = {0, 1, 2, 4, 8};
 
 /// Every matcher at every thread count against the reference machine run.
@@ -238,10 +236,8 @@ void expectAllMatchersAgree(const std::string &RuleText,
     for (unsigned T : AllThreads) {
       SCOPED_TRACE(Label + " matcher=" + std::to_string(int(MK)) +
                    " threads=" + std::to_string(T));
-      Outcome O = rewriteText(RuleText, GraphText, opts(MK, T));
-      EXPECT_EQ(O.GraphText, Ref.GraphText);
-      EXPECT_EQ(O.Stats.NodesSwept, Ref.Stats.NodesSwept);
-      EXPECT_EQ(O.Stats.TotalFired, Ref.Stats.TotalFired);
+      pypm::testing::expectSameGraph(
+          Ref, rewriteText(RuleText, GraphText, opts(MK, T)), Label);
     }
 }
 
@@ -421,6 +417,64 @@ TEST(CrossMatcherRewrite, RandomDagsAgree) {
                            "seed=" + std::to_string(Seed));
 }
 
+TEST(CrossMatcherRewrite, ZooAgreesOnEveryBenchmarkRuleSet) {
+  // The benchmark's four rule sets over the whole zoo: both matchers at
+  // every thread count, and the plan with each amortization mode on (at
+  // threads 0 and 4), rewrite exactly what the serial reference machine
+  // does.
+  rewrite::RewriteOptions Modes[3] = {opts(MatcherKind::Plan, 0),
+                                      opts(MatcherKind::Plan, 0),
+                                      opts(MatcherKind::Plan, 0)};
+  Modes[0].Batch = true;
+  Modes[1].Incremental = true;
+  Modes[2].Batch = Modes[2].Incremental = true;
+  const char *const ModeNames[] = {"batch", "incremental",
+                                   "batch+incremental"};
+  std::vector<models::ModelEntry> Models = zoo();
+  const std::vector<std::string> &Texts = zooTexts();
+  for (const char *Name : RuleSetNames) {
+    Compiled C;
+    compileRuleSet(Name, C);
+    auto Run = [&](const std::string &Text, rewrite::RewriteOptions O) {
+      DiagnosticEngine Diags;
+      std::unique_ptr<Graph> G = graph::parseGraphText(Text, C.Sig, Diags);
+      Outcome Out;
+      EXPECT_TRUE(G) << Diags.renderAll();
+      if (!G)
+        return Out;
+      Out.Stats =
+          rewrite::rewriteToFixpoint(*G, C.Rules, graph::ShapeInference(), O);
+      Out.GraphText = graph::writeGraphText(*G);
+      return Out;
+    };
+    for (size_t I = 0; I != Texts.size(); ++I) {
+      const std::string Label = std::string(Name) + " on " + Models[I].Name;
+      Outcome Ref = Run(Texts[I], opts(MatcherKind::Machine, 0));
+      for (MatcherKind MK : AllMatchers)
+        for (unsigned T : AllThreads)
+          pypm::testing::expectSameGraph(
+              Ref, Run(Texts[I], opts(MK, T)),
+              Label + " matcher=" + std::to_string(int(MK)) +
+                  " threads=" + std::to_string(T));
+      for (unsigned T : {0u, 4u}) {
+        for (size_t M = 0; M != std::size(Modes); ++M) {
+          rewrite::RewriteOptions O = Modes[M];
+          O.NumThreads = T;
+          pypm::testing::expectSameGraph(Ref, Run(Texts[I], O),
+                                         Label + " plan " + ModeNames[M] +
+                                             " threads=" + std::to_string(T));
+        }
+        plan::Profile Prof;
+        rewrite::RewriteOptions O = opts(MatcherKind::Plan, T);
+        O.PlanProfile = &Prof;
+        pypm::testing::expectSameGraph(Ref, Run(Texts[I], O),
+                                       Label + " plan profiled threads=" +
+                                           std::to_string(T));
+      }
+    }
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // PersistentTermView
 //===----------------------------------------------------------------------===//
@@ -448,7 +502,7 @@ TEST(PersistentTermViewSeeds, RandomDagsMatchFreshViewAfterEveryFire) {
   C.Libs.push_back(dsl::compileOrDie(dagRules(), C.Sig));
   C.Rules.addLibrary(*C.Libs.back());
   for (uint64_t Seed = 0; Seed != 50; ++Seed)
-    for (MatcherKind MK : {MatcherKind::Fast, MatcherKind::Plan})
+    for (MatcherKind MK : AllMatchers)
       for (unsigned T : {0u, 2u})
         checkPersistentView(C, randomDag(Seed), opts(MK, T),
                             "seed=" + std::to_string(Seed) + " matcher=" +

@@ -19,10 +19,9 @@
 
 #include "StressHarness.h"
 #include "graph/TermView.h"
-#include "match/FastMatcher.h"
 #include "models/Transformers.h"
 #include "opt/StdPatterns.h"
-#include "plan/Interpreter.h"
+#include "plan/Executor.h"
 #include "plan/PlanBuilder.h"
 #include "plan/Profile.h"
 #include "plan/Program.h"
@@ -37,9 +36,11 @@
 
 using namespace pypm;
 using namespace pypm::match;
+using pypm::testing::expectExecutorMatchesMachine;
 using pypm::testing::expectFullyEqual;
 using pypm::testing::expectOutcomesEqual;
 using pypm::testing::expectSameRewrites;
+using pypm::testing::machineOpts;
 using pypm::testing::planOpts;
 using pypm::testing::runModel;
 using pypm::testing::RunResult;
@@ -62,33 +63,6 @@ rewrite::RewriteOptions batchOpts(unsigned Threads, bool Incremental = false) {
   return O;
 }
 
-/// μ-unfold freshening draws binder names from a process-global counter
-/// that advances between runs, so reused-matcher witnesses can differ from
-/// fresh-run witnesses in $-binders only. Only visible bindings feed RHS
-/// construction and guards (same restriction as test_matchplan.cpp).
-Witness restrictVisible(const Witness &W) {
-  auto Visible = [](Symbol S) {
-    return S.str().find('$') == std::string_view::npos;
-  };
-  Witness Out;
-  for (const auto &[K, V] : W.Theta)
-    if (Visible(K))
-      Out.Theta.bind(K, V);
-  for (const auto &[K, V] : W.Phi)
-    if (Visible(K))
-      Out.Phi.bind(K, V);
-  return Out;
-}
-
-void expectStatsEqual(const MachineStats &A, const MachineStats &B) {
-  EXPECT_EQ(A.Steps, B.Steps);
-  EXPECT_EQ(A.Backtracks, B.Backtracks);
-  EXPECT_EQ(A.MuUnfolds, B.MuUnfolds);
-  EXPECT_EQ(A.VarBinds, B.VarBinds);
-  EXPECT_EQ(A.GuardEvals, B.GuardEvals);
-  EXPECT_EQ(A.GuardStuck, B.GuardStuck);
-}
-
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -99,18 +73,18 @@ TEST(IncrementalEngine, ZooIncrementalEqualsFullRediscovery) {
   uint64_t TotalHits = 0;
   for (const auto &Suite : {models::hfSuite(), models::tvSuite()}) {
     for (const models::ModelEntry &Model : Suite) {
-      RunResult Fast = runModel(Model, {});
-      rewrite::RewriteOptions FastInc;
-      FastInc.Incremental = true;
-      expectFullyEqual(Fast, runModel(Model, FastInc),
-                       Model.Name + " fast full vs fast incremental");
+      RunResult Ref = runModel(Model, machineOpts(0));
+      rewrite::RewriteOptions RefInc = machineOpts(0);
+      RefInc.Incremental = true;
+      expectFullyEqual(Ref, runModel(Model, RefInc),
+                       Model.Name + " machine full vs machine incremental");
 
       RunResult Plan = runModel(Model, planOpts(0));
       RunResult Inc = runModel(Model, incOpts(0));
       expectFullyEqual(Plan, Inc, Model.Name + " plan full vs incremental");
-      // Three-way: the incremental plan run still matches the fast
-      // matcher's committed sequence.
-      expectSameRewrites(Fast, Inc, Model.Name + " fast vs incremental plan");
+      // The incremental plan run still matches the reference machine's
+      // committed sequence.
+      expectSameRewrites(Ref, Inc, Model.Name + " machine vs incremental plan");
       TotalHits += Inc.Stats.MemoHits;
     }
   }
@@ -159,9 +133,9 @@ TEST(IncrementalEngine, ThreadedModesMatchSerialOnZooPrefix) {
 }
 
 TEST(IncrementalEngine, MuChainModesMatchFull) {
-  // UnaryChain adds the μ-recursive stress rule: batched attempts reuse
-  // one interpreter (persistent scratch + first-unfold memo), which must
-  // stay stats-invisible even on deep unfolds.
+  // UnaryChain adds the μ-recursive stress rule: attempts reuse one
+  // executor (persistent scratch + first-unfold memo), which must stay
+  // stats-invisible even on deep unfolds.
   auto Suite = models::hfSuite();
   ASSERT_GE(Suite.size(), 3u);
   for (size_t I = 0; I != 3; ++I) {
@@ -176,15 +150,15 @@ TEST(IncrementalEngine, MuChainModesMatchFull) {
 }
 
 TEST(IncrementalEngine, BatchFlagIsANoOpUnderTheFastMatcher) {
-  // Batch requires the plan matcher's discrimination tree; under the fast
-  // matcher the flag must degrade to a plain run, not misbehave.
+  // Batch requires the plan matcher's discrimination tree; under the
+  // reference machine the flag must degrade to a plain run, not misbehave.
   auto Suite = models::hfSuite();
   ASSERT_FALSE(Suite.empty());
-  RunResult Fast = runModel(Suite.front(), {});
-  rewrite::RewriteOptions O;
+  RunResult Ref = runModel(Suite.front(), machineOpts(0));
+  rewrite::RewriteOptions O = machineOpts(0);
   O.Batch = true;
   RunResult Batched = runModel(Suite.front(), O);
-  expectFullyEqual(Fast, Batched, Suite.front().Name + " fast batch no-op");
+  expectFullyEqual(Ref, Batched, Suite.front().Name + " machine batch no-op");
   EXPECT_EQ(Batched.Stats.BatchedNodes, 0u);
 }
 
@@ -321,15 +295,15 @@ TEST(BatchCandidates, EmptyBatchAndEmptyProgramAreWellFormed) {
 }
 
 //===----------------------------------------------------------------------===//
-// Per-attempt three-way parity on reused matchers
+// Per-attempt parity of the reused executor
 //===----------------------------------------------------------------------===//
 
 TEST(BatchMatchers, ReusedMatchersAgreeWithFreshRunsPerAttempt) {
-  // The batch engine amortizes matcher construction: one Interpreter (and,
-  // in Fast parity mode, one FastMatcher) serves every attempt of a pass.
-  // Per attempt, the reused instances must agree with a fresh run on
-  // status, every counter, and every visible binding — the persistent
-  // scratch arena and first-unfold μ memo are stats-invisible.
+  // The engine amortizes executor construction: one executor per arena
+  // serves every attempt of a run. Per attempt, the reused executor must
+  // agree with the reference machine on status, every counter, every
+  // visible binding, and the resume stream — the persistent scratch arena
+  // and first-unfold μ memo are stats-invisible.
   term::Signature Sig;
   models::declareModelOps(Sig);
   opt::Pipeline Pipe = opt::makePipeline(Sig, opt::OptConfig::Both);
@@ -345,8 +319,7 @@ TEST(BatchMatchers, ReusedMatchersAgreeWithFreshRunsPerAttempt) {
   term::TermArena Arena(Sig);
   graph::TermView View(*G, Arena);
 
-  plan::Interpreter Reused(Prog, Arena);
-  FastMatcher Fast(Arena);
+  plan::Executor Reused(Prog, Arena);
   std::vector<uint8_t> Mask;
   size_t Attempts = 0;
   for (graph::NodeId N : G->topoOrder()) {
@@ -358,18 +331,8 @@ TEST(BatchMatchers, ReusedMatchersAgreeWithFreshRunsPerAttempt) {
       ++Attempts;
       SCOPED_TRACE("node " + std::to_string(N) + " entry " +
                    std::to_string(I));
-      MatchResult Fresh = plan::Interpreter::run(Prog, I, T, Arena);
-      MatchResult RI = Reused.matchOne(I, T);
-      MatchResult RF =
-          Fast.matchOne(Pipe.Rules.entries()[I].Pattern->Pat, T);
-      ASSERT_EQ(RI.Status, Fresh.Status);
-      ASSERT_EQ(RF.Status, Fresh.Status);
-      expectStatsEqual(RI.Stats, Fresh.Stats);
-      expectStatsEqual(RF.Stats, RI.Stats);
-      if (Fresh.matched()) {
-        EXPECT_EQ(restrictVisible(RI.W), restrictVisible(Fresh.W));
-        EXPECT_EQ(restrictVisible(RF.W), restrictVisible(Fresh.W));
-      }
+      expectExecutorMatchesMachine(Prog, I, Pipe.Rules.entries()[I].Pattern->Pat,
+                                   T, Arena, {}, &Reused, /*MaxSolutions=*/4);
     }
   }
   // The prefilter must have let real attempts through, else this test
@@ -411,17 +374,19 @@ TEST_P(IncrementalStressTest, RandomCommitSequencesBitIdentical) {
     expectOutcomesEqual(Full, Inc, stressRepro(Seed, "incremental" + At));
     expectOutcomesEqual(Full, Batch, stressRepro(Seed, "batched" + At));
     expectOutcomesEqual(Full, Both, stressRepro(Seed, "batched+inc" + At));
-    // Cross-matcher: the committed sequence still matches the fast serial
-    // engine (attempt-shaped counters legitimately differ; see DESIGN.md).
-    rewrite::RewriteOptions FastOpts;
-    FastOpts.MaxRewrites = 300;
-    FastOpts.Incremental = true;
-    StressOutcome FastInc = runStressCase(Seed, FastOpts);
-    SCOPED_TRACE(stressRepro(Seed, "fast-incremental vs plan"));
-    EXPECT_EQ(FastInc.GraphText, Inc.GraphText);
-    EXPECT_EQ(FastInc.Stats.TotalFired, Inc.Stats.TotalFired);
-    EXPECT_EQ(FastInc.Stats.TotalMatches, Inc.Stats.TotalMatches);
-    EXPECT_EQ(FastInc.Stats.Status, Inc.Stats.Status);
+    // Cross-matcher: the committed sequence still matches the incremental
+    // reference machine (attempt-shaped counters legitimately differ; see
+    // DESIGN.md).
+    rewrite::RewriteOptions RefOpts = machineOpts(Threads);
+    RefOpts.MaxRewrites = 300;
+    RefOpts.Incremental = true;
+    StressOutcome RefInc = runStressCase(Seed, RefOpts);
+    SCOPED_TRACE(stressRepro(Seed, "machine-incremental vs plan"));
+    EXPECT_EQ(RefInc.GraphText, Inc.GraphText);
+    EXPECT_EQ(RefInc.Stats.NodesSwept, Inc.Stats.NodesSwept);
+    EXPECT_EQ(RefInc.Stats.TotalFired, Inc.Stats.TotalFired);
+    EXPECT_EQ(RefInc.Stats.TotalMatches, Inc.Stats.TotalMatches);
+    EXPECT_EQ(RefInc.Stats.Status, Inc.Stats.Status);
   }
 }
 

@@ -17,8 +17,6 @@
 #include "plan/PlanBuilder.h"
 #include "plan/PlanSerializer.h"
 #include "plan/Profile.h"
-#include "plan/aot/Emitter.h"
-#include "plan/aot/Library.h"
 #include "rewrite/RewriteEngine.h"
 #include "support/Diagnostics.h"
 #include "term/TermParser.h"
@@ -940,188 +938,6 @@ TEST(MalformedTermText, GarbageCorpusReturnsErrors) {
     term::TermParseResult R = term::parseTerm(Src, Sig, Arena);
     EXPECT_TRUE(std::holds_alternative<term::TermParseError>(R));
   }
-}
-
-//===----------------------------------------------------------------------===//
-// Emitted-plan libraries (.so)
-//===----------------------------------------------------------------------===//
-//
-// An emitted plan is the one artifact whose payload is native code, so its
-// loader gets the most hostile treatment of all: truncations, bit flips in
-// the validation marker, and a whole artifact spliced in from a different
-// plan. Every rejection must happen with a machine-readable status —
-// truncations and flips before any dlopen (the marker scan runs on raw
-// bytes) — and must leave the caller on the interpreter, never in UB.
-
-const char *const kAotRules =
-    "op Add(2);\n"
-    "op Zero(0);\n"
-    "pattern AddZero(x) { return Add(x, Zero()); }\n"
-    "rule elim_add_zero for AddZero(x) { return x; }\n";
-
-// Different operators entirely: same-shaped artifact, foreign fingerprints.
-const char *const kAotRulesForeign =
-    "op Mul(2);\n"
-    "op One(0);\n"
-    "pattern MulOne(x) { return Mul(x, One()); }\n"
-    "rule elim_mul_one for MulOne(x) { return x; }\n";
-
-/// One compiled rule set with its built emitted library and raw bytes.
-struct BuiltAot {
-  term::Signature Sig;
-  std::unique_ptr<pattern::Library> Lib;
-  rewrite::RuleSet Rules;
-  plan::Program Prog;
-  std::string Path;
-  std::string Bytes;
-
-  explicit BuiltAot(const char *Src, const char *Name) {
-    Lib = dsl::compileOrDie(Src, Sig);
-    Rules.addLibrary(*Lib);
-    Prog = plan::PlanBuilder::compile(Rules, Sig);
-    Path = ::testing::TempDir() + Name;
-    std::string Err;
-    if (!plan::aot::AotEmitter::buildSharedObject(Prog, Path, Err)) {
-      ADD_FAILURE() << Err;
-      return;
-    }
-    std::ifstream In(Path, std::ios::binary);
-    std::ostringstream Buf;
-    Buf << In.rdbuf();
-    Bytes = Buf.str();
-  }
-};
-
-class MalformedAotLibrary : public ::testing::Test {
-protected:
-  void SetUp() override {
-    if (plan::aot::AotEmitter::findCompiler().empty())
-      GTEST_SKIP() << "no C++ compiler available; emitted tier not buildable";
-  }
-
-  /// Writes \p Bytes as a candidate artifact and runs the full loader
-  /// ladder against \p P. Asserts the null-library/status invariant.
-  static plan::aot::AotLoadStatus loadBytes(std::string_view Bytes,
-                                            const plan::Program &P) {
-    std::string Path = ::testing::TempDir() + "hostile_candidate.so";
-    {
-      std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
-      Out.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()));
-    }
-    plan::aot::AotLoadStatus St;
-    auto L = plan::aot::PlanLibrary::load(Path, P, nullptr, St);
-    EXPECT_EQ(L != nullptr, St == plan::aot::AotLoadStatus::Ok);
-    return St;
-  }
-};
-
-TEST_F(MalformedAotLibrary, TruncationsRejectedBeforeAnyDlopen) {
-  BuiltAot A(kAotRules, "trunc_a.so");
-  ASSERT_FALSE(A.Bytes.empty());
-  size_t MarkerOff = A.Bytes.find("PYPM-AOT-MARK-v1:");
-  ASSERT_NE(MarkerOff, std::string::npos);
-  // Truncations strictly below the marker cannot carry a valid marker, so
-  // they must land in the earliest rung (NoMarker) — proof the rejection
-  // happened on raw bytes, before dlopen could map a half file.
-  const size_t Sizes[] = {0, 1, 64, 512, MarkerOff / 2, MarkerOff};
-  for (size_t N : Sizes) {
-    SCOPED_TRACE("truncated to " + std::to_string(N) + " bytes");
-    if (N > A.Bytes.size())
-      continue;
-    EXPECT_EQ(loadBytes(std::string_view(A.Bytes).substr(0, N), A.Prog),
-              plan::aot::AotLoadStatus::NoMarker);
-  }
-  // A missing file is its own, distinct status.
-  plan::aot::AotLoadStatus St;
-  auto L = plan::aot::PlanLibrary::load(
-      ::testing::TempDir() + "does_not_exist.so", A.Prog, nullptr, St);
-  EXPECT_EQ(L, nullptr);
-  EXPECT_EQ(St, plan::aot::AotLoadStatus::Unreadable);
-}
-
-TEST_F(MalformedAotLibrary, MarkerBitFlipsAreRejected) {
-  BuiltAot A(kAotRules, "flip_a.so");
-  ASSERT_FALSE(A.Bytes.empty());
-  size_t Off = A.Bytes.find("PYPM-AOT-MARK-v1:");
-  ASSERT_NE(Off, std::string::npos);
-  size_t End = A.Bytes.find(';', Off);
-  ASSERT_NE(End, std::string::npos);
-  // Flip every byte of the marker (prefix, both fingerprints, separators)
-  // one at a time. A flipped prefix/separator fails the scan (NoMarker); a
-  // flipped fingerprint digit parses but cannot equal the plan's
-  // fingerprint (MarkerMismatch). Either way: rejected, pre-dlopen.
-  for (size_t I = Off; I <= End; ++I) {
-    SCOPED_TRACE("marker byte " + std::to_string(I - Off) + " flipped");
-    std::string Bad = A.Bytes;
-    Bad[I] = static_cast<char>(Bad[I] ^ 0x01);
-    plan::aot::AotLoadStatus St = loadBytes(Bad, A.Prog);
-    EXPECT_NE(St, plan::aot::AotLoadStatus::Ok);
-    EXPECT_TRUE(St == plan::aot::AotLoadStatus::NoMarker ||
-                St == plan::aot::AotLoadStatus::MarkerMismatch)
-        << aotLoadStatusMessage(St);
-  }
-  // Control: the unmodified bytes still load.
-  EXPECT_EQ(loadBytes(A.Bytes, A.Prog), plan::aot::AotLoadStatus::Ok);
-}
-
-TEST_F(MalformedAotLibrary, ForeignPlanSpliceIsStaleNotUB) {
-  BuiltAot A(kAotRules, "splice_a.so");
-  BuiltAot B(kAotRulesForeign, "splice_b.so");
-  ASSERT_FALSE(A.Bytes.empty());
-  ASSERT_FALSE(B.Bytes.empty());
-  // A structurally perfect artifact for the WRONG plan — the supply-chain
-  // shape of the attack (or just a cache key collision after redeploy).
-  // The fingerprint comparison rejects it as stale, with the
-  // machine-readable aot.stale diagnostic; nothing of B's code ever runs.
-  DiagnosticEngine Diags;
-  plan::aot::AotLoadStatus St;
-  auto L = plan::aot::PlanLibrary::load(B.Path, A.Prog, &Diags, St);
-  EXPECT_EQ(L, nullptr);
-  EXPECT_EQ(St, plan::aot::AotLoadStatus::MarkerMismatch);
-  bool SawStale = false;
-  for (const Diagnostic &D : Diags.diagnostics())
-    SawStale |= D.Code == "aot.stale";
-  EXPECT_TRUE(SawStale) << Diags.renderAll();
-  // Control: each artifact is valid for its own plan.
-  EXPECT_EQ(loadBytes(A.Bytes, A.Prog), plan::aot::AotLoadStatus::Ok);
-  EXPECT_EQ(loadBytes(B.Bytes, B.Prog), plan::aot::AotLoadStatus::Ok);
-}
-
-TEST_F(MalformedAotLibrary, RejectionFallsBackToInterpreterGraphIntact) {
-  BuiltAot A(kAotRules, "fallback_a.so");
-  ASSERT_FALSE(A.Bytes.empty());
-  // Corrupt the artifact, then run the engine the way a caller that
-  // validated-and-failed would: PlanAot requested, no usable library. The
-  // run must complete on the interpreter (aot.fallback warning) with a
-  // result byte-identical to the plan matcher's.
-  std::string Bad = A.Bytes;
-  Bad[A.Bytes.find("PYPM-AOT-MARK-v1:")] ^= 0x01;
-  plan::aot::AotLoadStatus St = loadBytes(Bad, A.Prog);
-  EXPECT_NE(St, plan::aot::AotLoadStatus::Ok);
-
-  const char *GraphText = "z = Zero() : f32[]\n"
-                          "a = Add(z, z) : f32[]\n"
-                          "b = Add(a, z) : f32[]\n"
-                          "output b\n";
-  auto RunWith = [&](rewrite::MatcherKind MK, DiagnosticEngine &D) {
-    term::Signature Sig = A.Sig; // private copy, like a server request
-    DiagnosticEngine PD;
-    auto G = graph::parseGraphText(GraphText, Sig, PD);
-    EXPECT_TRUE(G) << PD.renderAll();
-    rewrite::RewriteOptions Opts;
-    Opts.Matcher = MK;
-    Opts.Diags = &D;
-    rewrite::rewriteToFixpoint(*G, A.Rules, graph::ShapeInference(), Opts);
-    return graph::writeGraphText(*G);
-  };
-  DiagnosticEngine DPlan, DAot;
-  std::string WithPlan = RunWith(rewrite::MatcherKind::Plan, DPlan);
-  std::string WithAot = RunWith(rewrite::MatcherKind::PlanAot, DAot);
-  EXPECT_EQ(WithPlan, WithAot);
-  bool SawFallback = false;
-  for (const Diagnostic &D : DAot.diagnostics())
-    SawFallback |= D.Code == "aot.fallback";
-  EXPECT_TRUE(SawFallback) << DAot.renderAll();
 }
 
 } // namespace

@@ -1,19 +1,18 @@
-//===- tests/test_matchplan.cpp - MatchPlan ≡ FastMatcher ≡ Machine ------------===//
+//===- tests/test_matchplan.cpp - MatchPlan ≡ reference Machine ---------------===//
 ///
 /// The MatchPlan subsystem compiles a whole rule set into one shared
 /// discrimination-tree bytecode program (plan::Program) executed by
-/// plan::Interpreter. These tests pin its equivalence to the two existing
-/// matchers at every level:
+/// plan::Executor. These tests pin its equivalence to the reference
+/// Machine of Figs. 17-18 at every level:
 ///
-///  - per-attempt: identical terminal status, first witness, resume()
-///    stream, and step counters against FastMatcher (and, via
-///    test_fastmatcher's equivalence, the reference Machine of
-///    Figs. 17-18) — on the paper's feature patterns and on thousands of
-///    random (pattern, term) pairs;
+///  - per-attempt: identical terminal status, visible witness, resume()
+///    stream, and step counters (the shared oracle in TestHelpers.h) — on
+///    the paper's feature patterns and on thousands of random (pattern,
+///    term) pairs;
 ///  - prefilter: the discrimination tree's candidate mask is sound (it
 ///    never prunes an entry that would have matched);
 ///  - engine: rewriteToFixpoint with Matcher=Plan commits the identical
-///    rewrite sequence as the fast matcher on the whole model zoo, at
+///    rewrite sequence as the reference machine on the whole model zoo, at
 ///    every thread count, and stays bit-identically deterministic across
 ///    thread counts under budgets, quarantine, and injected faults;
 ///  - artifact: a .pypmplan round-trip drives the engine to the same
@@ -25,24 +24,22 @@
 #include "TestHelpers.h"
 
 #include "graph/GraphIO.h"
-#include "match/FastMatcher.h"
 #include "models/Transformers.h"
 #include "models/Zoo.h"
 #include "opt/StdPatterns.h"
-#include "plan/Interpreter.h"
+#include "plan/Executor.h"
 #include "plan/PlanBuilder.h"
 #include "plan/PlanSerializer.h"
 #include "rewrite/RewriteEngine.h"
 #include "support/FaultInjection.h"
-#include "support/Random.h"
 
 #include <deque>
-#include <functional>
 
 using namespace pypm;
 using namespace pypm::match;
 using namespace pypm::pattern;
 using pypm::testing::CoreFixture;
+using pypm::testing::expectExecutorMatchesMachine;
 using pypm::testing::expectOutcomesEqual;
 using pypm::testing::runStressCase;
 using pypm::testing::StressOutcome;
@@ -50,38 +47,10 @@ using pypm::testing::stressRepro;
 
 namespace {
 
-bool isUserVisibleSym(Symbol S) {
-  return S.str().find('$') == std::string_view::npos;
-}
-
-/// Restriction used where μ-unfold freshening makes binder names differ
-/// between engines (see test_fastmatcher.cpp). The interpreter shares
-/// FastMatcher's memoization, so against FastMatcher we compare whole
-/// witnesses; against the reference machine only the visible part.
-Witness restrictVisible(const Witness &W) {
-  Witness Out;
-  for (const auto &[K, V] : W.Theta)
-    if (isUserVisibleSym(K))
-      Out.Theta.bind(K, V);
-  for (const auto &[K, V] : W.Phi)
-    if (isUserVisibleSym(K))
-      Out.Phi.bind(K, V);
-  return Out;
-}
-
-void expectStatsEqual(const MachineStats &A, const MachineStats &B) {
-  EXPECT_EQ(A.Steps, B.Steps);
-  EXPECT_EQ(A.Backtracks, B.Backtracks);
-  EXPECT_EQ(A.MuUnfolds, B.MuUnfolds);
-  EXPECT_EQ(A.VarBinds, B.VarBinds);
-  EXPECT_EQ(A.GuardEvals, B.GuardEvals);
-  EXPECT_EQ(A.GuardStuck, B.GuardStuck);
-}
-
 class MatchPlanTest : public CoreFixture {
 protected:
   /// Compiles \p P as the sole entry of a program. The NamedPattern and
-  /// Program must outlive the interpreter runs, hence the deques.
+  /// Program must outlive the executor runs, hence the deques.
   const plan::Program &compileSingle(const Pattern *P) {
     Defs.push_back(NamedPattern{Symbol::intern("P"), {}, {}, P});
     rewrite::RuleSet RS;
@@ -90,32 +59,21 @@ protected:
     return Progs.back();
   }
 
-  /// Reference machine vs FastMatcher vs compiled plan, single attempt.
-  void expectAgree(const Pattern *P, term::TermRef T,
-                   Machine::Options Opts = {}) {
-    MatchResult Ref = matchPattern(P, T, Arena, Opts);
-    MatchResult Fast = FastMatcher::run(P, T, Arena, Opts);
+  /// Compiled plan vs reference machine on one attempt and its resume
+  /// stream, plus prefilter soundness.
+  MatchResult expectAgree(const Pattern *P, term::TermRef T,
+                          Machine::Options Opts = {}) {
     const plan::Program &Prog = compileSingle(P);
-    MatchResult Plan = plan::Interpreter::run(Prog, 0, T, Arena, Opts);
-    ASSERT_EQ(Plan.Status, Ref.Status)
-        << P->toString(Sig) << " vs " << Arena.toString(T);
-    if (Ref.Status == MachineStatus::Success) {
-      // Bit-identical against FastMatcher (shared unfold memoization);
-      // visible-restricted against the per-retry-freshening machine.
-      EXPECT_EQ(Plan.W, Fast.W)
-          << P->toString(Sig) << " vs " << Arena.toString(T) << "\n  fast "
-          << toString(Fast.W, Sig) << "\n  plan " << toString(Plan.W, Sig);
-      EXPECT_EQ(restrictVisible(Plan.W), restrictVisible(Ref.W));
-    }
-    expectStatsEqual(Plan.Stats, Fast.Stats);
+    MatchResult R = expectExecutorMatchesMachine(Prog, 0, P, T, Arena, Opts);
     // The tree prefilter must never prune an entry that matches.
     std::vector<uint8_t> Mask;
     Prog.candidates(T, Mask);
-    ASSERT_EQ(Mask.size(), 1u);
-    if (Ref.Status == MachineStatus::Success) {
+    EXPECT_EQ(Mask.size(), 1u);
+    if (R.matched()) {
       EXPECT_TRUE(Mask[0]) << P->toString(Sig) << " pruned against "
                            << Arena.toString(T);
     }
+    return R;
   }
 
   std::deque<NamedPattern> Defs;
@@ -164,12 +122,8 @@ TEST_F(MatchPlanTest, AgreesOnRecursionIncludingFuelExhaustion) {
   const Pattern *Diverge = PA.mu(P, {X}, {X}, PA.recCall(P, {X}));
   Machine::Options Tight;
   Tight.MaxMuUnfolds = 32;
-  const plan::Program &Prog = compileSingle(Diverge);
-  MatchResult Fast = FastMatcher::run(Diverge, t("C"), Arena, Tight);
-  MatchResult Plan = plan::Interpreter::run(Prog, 0, t("C"), Arena, Tight);
-  EXPECT_EQ(Fast.Status, MachineStatus::OutOfFuel);
-  EXPECT_EQ(Plan.Status, MachineStatus::OutOfFuel);
-  expectStatsEqual(Plan.Stats, Fast.Stats);
+  EXPECT_EQ(expectAgree(Diverge, t("C"), Tight).Status,
+            MachineStatus::OutOfFuel);
 }
 
 TEST_F(MatchPlanTest, ResumeStreamsAgree) {
@@ -178,7 +132,7 @@ TEST_F(MatchPlanTest, ResumeStreamsAgree) {
   term::TermRef T = t("Pair(C1, C2)");
   std::vector<Witness> RefStream = allSolutions(P, T, Arena);
   const plan::Program &Prog = compileSingle(P);
-  plan::Interpreter IP(Prog, Arena);
+  plan::Executor IP(Prog, Arena);
   std::vector<Witness> PlanStream;
   MachineStatus S = IP.matchEntry(0, T);
   while (S == MachineStatus::Success) {
@@ -258,7 +212,7 @@ TEST_F(MatchPlanTest, CandidateMaskIsSoundOnThePaperLibraries) {
       ++Pruned;
       // Soundness: a pruned entry must not match.
       MatchResult MR =
-          FastMatcher::run(RS.entries()[I].Pattern->Pat, T, Arena2);
+          matchPattern(RS.entries()[I].Pattern->Pat, T, Arena2);
       EXPECT_NE(MR.Status, MachineStatus::Success)
           << "entry " << I << " pruned but matches at node " << N;
     }
@@ -278,84 +232,24 @@ class MatchPlanRandomTest : public ::testing::TestWithParam<uint64_t> {};
 } // namespace
 
 TEST_P(MatchPlanRandomTest, RandomPatternsAgree) {
-  term::Signature Sig;
-  term::TermArena Arena(Sig);
-  PatternArena PA;
-  Rng R(GetParam() * 9176 + 11);
-
-  term::OpId C0 = Sig.addOp("c0", 0), C1 = Sig.addOp("c1", 0);
-  term::OpId U0 = Sig.addOp("u0", 1), B0 = Sig.addOp("b0", 2);
-
-  std::vector<Symbol> Vars{Symbol::intern("x"), Symbol::intern("y")};
-  uint64_t Fresh = 0;
-  std::function<term::TermRef(unsigned)> GenTerm =
-      [&](unsigned Depth) -> term::TermRef {
-    if (Depth == 0 || R.chance(1, 3))
-      return Arena.leaf(R.chance(1, 2) ? C0 : C1);
-    if (R.chance(1, 2))
-      return Arena.make(U0, {GenTerm(Depth - 1)});
-    return Arena.make(B0, {GenTerm(Depth - 1), GenTerm(Depth - 1)});
-  };
-  std::function<const Pattern *(unsigned)> GenPat =
-      [&](unsigned Depth) -> const Pattern * {
-    if (Depth == 0)
-      return PA.var(Vars[R.below(2)]);
-    switch (R.below(8)) {
-    case 0:
-      return PA.var(Vars[R.below(2)]);
-    case 1:
-      return PA.app(U0, {GenPat(Depth - 1)});
-    case 2:
-      return PA.app(B0, {GenPat(Depth - 1), GenPat(Depth - 1)});
-    case 3:
-      return PA.alt(GenPat(Depth - 1), GenPat(Depth - 1));
-    case 4: {
-      Symbol V = Symbol::intern("e" + std::to_string(Fresh++));
-      return PA.exists(V, PA.app(U0, {PA.var(V)}));
-    }
-    case 5: {
-      Symbol V = Vars[R.below(2)];
-      return PA.matchConstraint(PA.var(V), GenPat(Depth - 1), V);
-    }
-    case 6: {
-      Symbol F = Symbol::intern("F" + std::to_string(Fresh++));
-      return PA.existsFun(F, PA.funVarApp(F, {GenPat(Depth - 1)}));
-    }
-    case 7: {
-      Symbol Self = Symbol::intern("P" + std::to_string(Fresh++));
-      Symbol Param = Symbol::intern("r" + std::to_string(Fresh++));
-      const Pattern *Step = PA.app(U0, {PA.recCall(Self, {Param})});
-      return PA.mu(Self, {Param}, {Vars[R.below(2)]},
-                   PA.alt(Step, GenPat(Depth - 1)));
-    }
-    }
-    return PA.var(Vars[0]);
-  };
-
+  pypm::testing::RandomCalculus RC(GetParam() * 9176 + 11);
   std::deque<NamedPattern> Defs;
   for (int Iter = 0; Iter != 150; ++Iter) {
-    term::TermRef T = GenTerm(4);
-    const Pattern *P = GenPat(3);
+    term::TermRef T = RC.term(4);
+    const Pattern *P = RC.pattern(3);
     Defs.push_back(NamedPattern{Symbol::intern("P"), {}, {}, P});
     rewrite::RuleSet RS;
     RS.addPattern(Defs.back());
-    plan::Program Prog = plan::PlanBuilder::compile(RS, Sig);
-
-    MatchResult Fast = FastMatcher::run(P, T, Arena);
-    MatchResult Plan = plan::Interpreter::run(Prog, 0, T, Arena);
-    ASSERT_EQ(Plan.Status, Fast.Status)
-        << P->toString(Sig) << " against " << Arena.toString(T);
-    if (Fast.matched()) {
-      // μ-unfold binder names come from the process-global fresh counter,
-      // which advances between the two runs: compare visible bindings.
-      ASSERT_EQ(restrictVisible(Plan.W), restrictVisible(Fast.W))
-          << P->toString(Sig) << " against " << Arena.toString(T);
+    plan::Program Prog = plan::PlanBuilder::compile(RS, RC.Sig);
+    SCOPED_TRACE(P->toString(RC.Sig) + " against " + RC.Arena.toString(T));
+    MatchResult R = expectExecutorMatchesMachine(Prog, 0, P, T, RC.Arena);
+    if (R.matched()) {
       std::vector<uint8_t> Mask;
       Prog.candidates(T, Mask);
-      ASSERT_TRUE(Mask[0]) << P->toString(Sig) << " pruned against "
-                           << Arena.toString(T);
+      ASSERT_TRUE(Mask[0]) << "pruned a matching entry";
     }
-    expectStatsEqual(Plan.Stats, Fast.Stats);
+    if (::testing::Test::HasFailure())
+      return;
   }
 }
 
@@ -370,6 +264,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MatchPlanRandomTest,
 // test_incremental.cpp.
 using pypm::testing::expectFullyEqual;
 using pypm::testing::expectSameRewrites;
+using pypm::testing::machineOpts;
 using pypm::testing::planOpts;
 using pypm::testing::runModel;
 using pypm::testing::RunResult;
@@ -377,9 +272,9 @@ using pypm::testing::RunResult;
 TEST(MatchPlanEngine, ZooRewritesMatchFastMatcherAtEveryThreadCount) {
   for (const auto &Suite : {models::hfSuite(), models::tvSuite()}) {
     for (const models::ModelEntry &Model : Suite) {
-      RunResult Fast = runModel(Model, {});
+      RunResult Ref = runModel(Model, machineOpts(0));
       RunResult Plan0 = runModel(Model, planOpts(0));
-      expectSameRewrites(Fast, Plan0, Model.Name + " fast vs plan@0");
+      expectSameRewrites(Ref, Plan0, Model.Name + " machine vs plan@0");
       for (unsigned Threads : {1u, 2u, 4u, 8u}) {
         RunResult PlanN = runModel(Model, planOpts(Threads));
         expectFullyEqual(Plan0, PlanN,
@@ -396,10 +291,11 @@ TEST(MatchPlanEngine, MuChainPipelineMatchesFast) {
   auto Suite = models::hfSuite();
   ASSERT_GE(Suite.size(), 3u);
   for (size_t I = 0; I != 3; ++I) {
-    RunResult Fast = runModel(Suite[I], {}, /*WithUnaryChain=*/true);
+    RunResult Ref =
+        runModel(Suite[I], machineOpts(0), /*WithUnaryChain=*/true);
     RunResult Plan0 = runModel(Suite[I], planOpts(0), true);
     RunResult Plan4 = runModel(Suite[I], planOpts(4), true);
-    expectSameRewrites(Fast, Plan0, Suite[I].Name + " +mu fast vs plan@0");
+    expectSameRewrites(Ref, Plan0, Suite[I].Name + " +mu machine vs plan@0");
     expectFullyEqual(Plan0, Plan4, Suite[I].Name + " +mu plan@0 vs plan@4");
   }
 }
@@ -467,27 +363,28 @@ class MatchPlanGovernanceTest : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(MatchPlanGovernanceTest, StressRewritesMatchFastAcrossSeeds) {
   // The 50-seed stress zoo: plan@0 and plan@T must commit the same
-  // sequence as the fast serial engine. Budgets are generous (no step or
+  // sequence as the serial reference machine. Budgets are generous (no step or
   // fuel ceilings — those diverge across matcher kinds by design), but
   // the rewrite cap must be finite: the stress templates include a
   // ping-pong rule pair that never reaches a fixpoint on its own.
   unsigned Threads = GetParam();
   for (uint64_t Seed = 0; Seed != 50; ++Seed) {
     SCOPED_TRACE("seed=" + std::to_string(Seed));
-    rewrite::RewriteOptions FastOpts;
-    FastOpts.MaxRewrites = 300;
+    rewrite::RewriteOptions RefOpts = machineOpts(0);
+    RefOpts.MaxRewrites = 300;
     rewrite::RewriteOptions P0 = planOpts(0);
     P0.MaxRewrites = 300;
     rewrite::RewriteOptions PN = planOpts(Threads);
     PN.MaxRewrites = 300;
-    StressOutcome Fast = runStressCase(Seed, FastOpts);
+    StressOutcome Ref = runStressCase(Seed, RefOpts);
     StressOutcome Plan0 = runStressCase(Seed, P0);
     StressOutcome PlanN = runStressCase(Seed, PN);
-    // Committed sequence vs the fast matcher.
-    EXPECT_EQ(Fast.GraphText, Plan0.GraphText);
-    EXPECT_EQ(Fast.Stats.TotalFired, Plan0.Stats.TotalFired);
-    EXPECT_EQ(Fast.Stats.TotalMatches, Plan0.Stats.TotalMatches);
-    EXPECT_EQ(Fast.Stats.Status, Plan0.Stats.Status);
+    // Committed sequence vs the reference machine.
+    EXPECT_EQ(Ref.GraphText, Plan0.GraphText);
+    EXPECT_EQ(Ref.Stats.NodesSwept, Plan0.Stats.NodesSwept);
+    EXPECT_EQ(Ref.Stats.TotalFired, Plan0.Stats.TotalFired);
+    EXPECT_EQ(Ref.Stats.TotalMatches, Plan0.Stats.TotalMatches);
+    EXPECT_EQ(Ref.Stats.Status, Plan0.Stats.Status);
     // Full bit-identical determinism across plan thread counts.
     expectOutcomesEqual(Plan0, PlanN, stressRepro(Seed, 0, Threads));
   }

@@ -9,8 +9,8 @@
 ///
 ///  - per-attempt: candidate masks and full match results (status, first
 ///    witness, step counters) are bit-identical between a profiled and an
-///    unprofiled plan — and still agree with FastMatcher and the reference
-///    Machine — on a feature corpus, under real, adversarially inverted,
+///    unprofiled plan — and still agree with the reference Machine,
+///    resume stream included — on a feature corpus, under real, adversarially inverted,
 ///    and random-garbage (but bound) profiles;
 ///  - engine: rewriteToFixpoint over the model zoo and the 50-seed stress
 ///    zoo commits bit-identical outcomes with profiled plans at threads
@@ -36,11 +36,10 @@
 #include "TestHelpers.h"
 
 #include "graph/GraphIO.h"
-#include "match/FastMatcher.h"
 #include "models/Transformers.h"
 #include "models/Zoo.h"
 #include "opt/StdPatterns.h"
-#include "plan/Interpreter.h"
+#include "plan/Executor.h"
 #include "plan/PlanBuilder.h"
 #include "plan/PlanSerializer.h"
 #include "plan/Profile.h"
@@ -54,7 +53,9 @@ using namespace pypm;
 using namespace pypm::match;
 using namespace pypm::pattern;
 using pypm::testing::CoreFixture;
+using pypm::testing::expectExecutorMatchesMachine;
 using pypm::testing::expectOutcomesEqual;
+using pypm::testing::expectStatsEqual;
 using pypm::testing::StressOutcome;
 using pypm::testing::stressRepro;
 
@@ -105,15 +106,6 @@ plan::Profile garbageProfile(const plan::Program &P, uint64_t Seed) {
 // Attempt-level differential corpus
 //===----------------------------------------------------------------------===//
 
-void expectStatsEqual(const MachineStats &A, const MachineStats &B) {
-  EXPECT_EQ(A.Steps, B.Steps);
-  EXPECT_EQ(A.Backtracks, B.Backtracks);
-  EXPECT_EQ(A.MuUnfolds, B.MuUnfolds);
-  EXPECT_EQ(A.VarBinds, B.VarBinds);
-  EXPECT_EQ(A.GuardEvals, B.GuardEvals);
-  EXPECT_EQ(A.GuardStuck, B.GuardStuck);
-}
-
 class PlanProfileAttemptTest : public CoreFixture {
 protected:
   void addPattern(const char *Name, const Pattern *P) {
@@ -151,14 +143,13 @@ protected:
       Prof.addTrace(Tr);
       for (size_t I = 0; I != Prog.numEntries(); ++I)
         if (Mask[I])
-          plan::Interpreter::run(Prog, I, T, Arena, {}, &Prof);
+          plan::Executor::run(Prog, I, T, Arena, {}, &Prof);
     }
     return Prof;
   }
 
   /// The differential core: \p Profiled must be indistinguishable from
-  /// \p Base per attempt, and both must agree with FastMatcher and the
-  /// reference Machine.
+  /// \p Base per attempt, and both must agree with the reference Machine.
   void expectPlansEquivalent(const plan::Program &Base,
                              const plan::Program &Profiled) {
     std::vector<uint8_t> MaskA, MaskB;
@@ -171,19 +162,13 @@ protected:
       EXPECT_EQ(MaskA, MaskB);
       for (size_t I = 0; I != Defs.size(); ++I) {
         SCOPED_TRACE(std::string(Defs[I].Name.str()));
-        MatchResult A = plan::Interpreter::run(Base, I, T, Arena);
-        MatchResult B = plan::Interpreter::run(Profiled, I, T, Arena);
+        MatchResult A = plan::Executor::run(Base, I, T, Arena);
+        MatchResult B =
+            expectExecutorMatchesMachine(Profiled, I, Defs[I].Pat, T, Arena);
         ASSERT_EQ(A.Status, B.Status);
-        EXPECT_EQ(A.W, B.W);
+        EXPECT_EQ(pypm::testing::visibleWitness(A.W),
+                  pypm::testing::visibleWitness(B.W));
         expectStatsEqual(A.Stats, B.Stats);
-        MatchResult Fast = FastMatcher::run(Defs[I].Pat, T, Arena);
-        MatchResult Ref = matchPattern(Defs[I].Pat, T, Arena);
-        ASSERT_EQ(B.Status, Fast.Status);
-        ASSERT_EQ(B.Status, Ref.Status);
-        if (Fast.matched()) {
-          EXPECT_EQ(B.W, Fast.W);
-        }
-        expectStatsEqual(B.Stats, Fast.Stats);
       }
     }
   }
@@ -358,6 +343,7 @@ TEST_F(PlanProfileAttemptTest, ProfileMergeSumsAndChecks) {
 // test_incremental.cpp.
 using pypm::testing::expectFullyEqual;
 using pypm::testing::expectSameRewrites;
+using pypm::testing::machineOpts;
 using pypm::testing::runModel;
 using pypm::testing::RunResult;
 
@@ -403,13 +389,13 @@ plan::Profile recordModelProfile(const models::ModelEntry &Model) {
 TEST(PlanProfileEngine, ZooProfiledRunsBitIdenticalAtEveryThreadCount) {
   for (const auto &Suite : {models::hfSuite(), models::tvSuite()}) {
     for (const models::ModelEntry &Model : Suite) {
-      RunResult Fast = runModel(Model, {});
+      RunResult Ref = runModel(Model, machineOpts(0));
       plan::Profile Prof;
       RunResult Recording = runModelProfiled(Model, 0, nullptr, &Prof);
       RunResult Base = runModelProfiled(Model, 0, nullptr, nullptr);
       // Recording is observation-only.
       expectFullyEqual(Base, Recording, Model.Name + " recording vs plain");
-      expectSameRewrites(Fast, Base, Model.Name + " fast vs plan");
+      expectSameRewrites(Ref, Base, Model.Name + " machine vs plan");
       EXPECT_GT(Prof.Traversals, 0u) << Model.Name;
       for (unsigned Threads : {0u, 1u, 2u, 4u, 8u}) {
         RunResult Profiled =
@@ -480,30 +466,30 @@ TEST(PlanProfileEngine, AttemptCounterCaveatAcrossMatcherKinds) {
   // Regression pin for the DESIGN.md caveat: attempt-shaped counters are
   // comparable within a matcher kind (any thread count, profiled or not)
   // but NOT across kinds — the discrimination tree prefilters attempts the
-  // fast matcher's root-op index would have started. What IS invariant
+  // reference machine's root-op index would have started. What IS invariant
   // across kinds is the committed sequence and, per pattern, the sum
   // Attempts + RootSkips (every entry at every visited node is counted
   // exactly once, as one or the other).
   auto Suite = models::hfSuite();
   ASSERT_FALSE(Suite.empty());
   const models::ModelEntry &Model = Suite.front();
-  RunResult Fast = runModel(Model, {});
+  RunResult Ref = runModel(Model, machineOpts(0));
   RunResult Plan = runModelProfiled(Model, 0, nullptr, nullptr);
-  expectSameRewrites(Fast, Plan, "fast vs plan committed sequence");
+  expectSameRewrites(Ref, Plan, "machine vs plan committed sequence");
 
-  uint64_t FastAttempts = 0, PlanAttempts = 0;
-  for (const auto &[Name, SP] : Fast.Stats.PerPattern) {
+  uint64_t RefAttempts = 0, PlanAttempts = 0;
+  for (const auto &[Name, SP] : Ref.Stats.PerPattern) {
     SCOPED_TRACE(Name);
     auto It = Plan.Stats.PerPattern.find(Name);
     ASSERT_NE(It, Plan.Stats.PerPattern.end());
     EXPECT_EQ(SP.Attempts + SP.RootSkips,
               It->second.Attempts + It->second.RootSkips);
     EXPECT_LE(It->second.Attempts, SP.Attempts);
-    FastAttempts += SP.Attempts;
+    RefAttempts += SP.Attempts;
     PlanAttempts += It->second.Attempts;
   }
   // The caveat is real on this model: the tree prunes strictly more.
-  EXPECT_LT(PlanAttempts, FastAttempts);
+  EXPECT_LT(PlanAttempts, RefAttempts);
 
   // Within the plan kind, a profiled run's attempt counters are
   // bit-identical (expectFullyEqual compares full PatternStats).

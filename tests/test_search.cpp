@@ -221,18 +221,27 @@ TEST_F(SearchConflictTest, ThreadsOnlyPriceClonesNothingObservableMoves) {
 }
 
 TEST_F(SearchConflictTest, MatcherKindsAgreeOnTheCommittedResult) {
-  std::string FastText;
-  double FastCost = endCost(beamOpts(2, 1), nullptr, &FastText);
-  for (rewrite::MatcherKind MK :
-       {rewrite::MatcherKind::Machine, rewrite::MatcherKind::Plan,
-        rewrite::MatcherKind::PlanThreaded}) {
-    SCOPED_TRACE(static_cast<int>(MK));
-    RewriteOptions O = beamOpts(2, 1);
-    O.Matcher = MK;
-    std::string Text;
-    EXPECT_EQ(endCost(O, nullptr, &Text), FastCost);
-    EXPECT_EQ(Text, FastText);
-  }
+  // Beam and auto (which resolves to beam on this conflicting set), at
+  // several thread counts: the plan matcher's tree prefilter must commit
+  // exactly what the reference machine's unfiltered enumeration does.
+  for (SearchStrategy S : {SearchStrategy::Beam, SearchStrategy::Auto})
+    for (unsigned Threads : {0u, 2u, 4u}) {
+      RunResult Runs[2];
+      double Costs[2];
+      for (rewrite::MatcherKind MK :
+           {rewrite::MatcherKind::Machine, rewrite::MatcherKind::Plan}) {
+        RewriteOptions O = beamOpts(2, 1);
+        O.Search = S;
+        O.NumThreads = Threads;
+        O.Matcher = MK;
+        int K = static_cast<int>(MK);
+        Costs[K] = endCost(O, &Runs[K].Stats, &Runs[K].GraphText);
+      }
+      expectSameGraph(Runs[0], Runs[1],
+                      "search=" + std::to_string(static_cast<int>(S)) +
+                          " threads=" + std::to_string(Threads));
+      EXPECT_EQ(Costs[0], Costs[1]);
+    }
 }
 
 TEST_F(SearchConflictTest, PrecompiledPlanMatchesFreshCompile) {

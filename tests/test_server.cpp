@@ -28,8 +28,6 @@
 #include "graph/GraphIO.h"
 #include "models/Transformers.h"
 #include "plan/PlanBuilder.h"
-#include "plan/aot/Emitter.h"
-#include "plan/aot/Library.h"
 #include "support/FaultInjection.h"
 
 #include <gtest/gtest.h>
@@ -164,6 +162,41 @@ TEST(ServerProtocol, RewriteRequestRejectsUnknownSearchStrategy) {
   RewriteRequest Out;
   std::string Err;
   EXPECT_FALSE(decodeRewriteRequest(encodeRewriteRequest(R), Out, Err));
+}
+
+TEST(ServerProtocol, RewriteRequestRejectsRetiredMatcherValues) {
+  // The wire keeps 0 (server default), 1 (machine), and 3 (plan); 2, 4 and
+  // 5 named matchers that no longer exist and must not decode as anything.
+  for (uint8_t M : {0, 1, 3}) {
+    RewriteRequest R = basicRequest(9);
+    R.Matcher = M;
+    RewriteRequest Out;
+    std::string Err;
+    EXPECT_TRUE(decodeRewriteRequest(encodeRewriteRequest(R), Out, Err))
+        << "matcher " << int(M) << ": " << Err;
+    EXPECT_EQ(Out.Matcher, M);
+  }
+  for (uint8_t M : {2, 4, 5, 6, 255}) {
+    RewriteRequest R = basicRequest(9);
+    R.Matcher = M;
+    RewriteRequest Out;
+    std::string Err;
+    EXPECT_FALSE(decodeRewriteRequest(encodeRewriteRequest(R), Out, Err))
+        << "matcher " << int(M);
+    EXPECT_NE(Err.find("out of range"), std::string::npos) << Err;
+  }
+  // Over the framed pipeline the rejection is a MalformedRequest reply,
+  // not a dropped connection.
+  RewriteRequest R = basicRequest(10);
+  R.Matcher = 2;
+  Server Srv(ServerOptions{});
+  std::vector<std::string> Replies;
+  EXPECT_TRUE(scriptConnection(
+      Srv, frameBytes(/*Request=*/true, encodeRewriteRequest(R)), Replies));
+  ASSERT_EQ(Replies.size(), 1u);
+  EXPECT_EQ(decodeReplyOrDie(Replies[0]).Status,
+            ServerStatus::MalformedRequest);
+  Srv.stop();
 }
 
 TEST(ServerProtocol, RewriteReplyRoundTrips) {
@@ -712,63 +745,6 @@ TEST(ServerCache, SidecarIndexColdStartAndCorruptionLadder) {
   }
 }
 
-/// Fourth cache tier (Options::Aot): the acquired entry carries a
-/// validated emitted-plan library, the artifact persists as <key>.pypmso
-/// next to the .pypmplan, a cold start serves it without rebuilding, and
-/// a corrupted artifact is a miss (caught by the pre-dlopen marker scan)
-/// repaired by an atomic rebuild. Gated on a host C++ compiler like every
-/// emitted-tier test; the tier itself degrades to "absent" without one.
-TEST(ServerCache, AotTierBuildsServesAndRepairs) {
-  if (plan::aot::AotEmitter::findCompiler().empty())
-    GTEST_SKIP() << "no C++ compiler available; emitted tier not buildable";
-  TempDir Dir;
-  PlanCache::Options CO;
-  CO.Dir = Dir.Path;
-  CO.Aot = true;
-  DiagnosticEngine Diags;
-  CacheSource Src;
-  {
-    PlanCache Warm(CO);
-    auto E = Warm.acquire(kRules, Diags, Src);
-    ASSERT_TRUE(E) << Diags.renderAll();
-    ASSERT_NE(E->aotLib(), nullptr);
-    EXPECT_TRUE(E->aotLib()->matches(E->prog()));
-    EXPECT_EQ(Warm.stats().AotBuilds, 1u);
-    EXPECT_EQ(Warm.stats().AotHits, 0u);
-    EXPECT_EQ(Warm.stats().AotFailures, 0u);
-  }
-  auto Sos = listFiles(Dir.Path, ".pypmso");
-  ASSERT_EQ(Sos.size(), 1u);
-
-  { // Cold start over a warm directory: served, not rebuilt.
-    PlanCache Cold(CO);
-    auto E = Cold.acquire(kRules, Diags, Src);
-    ASSERT_TRUE(E);
-    EXPECT_EQ(Src, CacheSource::Disk);
-    ASSERT_NE(E->aotLib(), nullptr);
-    EXPECT_EQ(Cold.stats().AotHits, 1u);
-    EXPECT_EQ(Cold.stats().AotBuilds, 0u);
-  }
-
-  { // Corrupt artifact: rejected before any dlopen, rebuilt in place; the
-    // entry is still served, with a once-again-valid library.
-    std::ofstream(Sos[0], std::ios::binary | std::ios::trunc) << "garbage";
-    PlanCache Cold(CO);
-    auto E = Cold.acquire(kRules, Diags, Src);
-    ASSERT_TRUE(E);
-    ASSERT_NE(E->aotLib(), nullptr);
-    EXPECT_EQ(Cold.stats().AotHits, 0u);
-    EXPECT_EQ(Cold.stats().AotBuilds, 1u);
-  }
-
-  { // ...and the repair is durable.
-    PlanCache Cold(CO);
-    auto E = Cold.acquire(kRules, Diags, Src);
-    ASSERT_TRUE(E);
-    EXPECT_EQ(Cold.stats().AotHits, 1u);
-  }
-}
-
 //===----------------------------------------------------------------------===//
 // Sticky quarantine (opt-in)
 //===----------------------------------------------------------------------===//
@@ -828,7 +804,8 @@ RewriteRequest stressRequest(uint64_t Seed) {
   R.Seq = Seed;
   R.RuleSet = stressOps() + pypm::testing::stressRuleSource(Seed);
   R.GraphText = stressGraphText(Seed);
-  R.Matcher = static_cast<uint8_t>(Seed % 4); // default/machine/fast/plan
+  const uint8_t Matchers[] = {0, 1, 3, 3}; // default/machine/plan/plan
+  R.Matcher = Matchers[Seed % 4];
   R.Threads = static_cast<uint32_t>(Seed % 3);
   R.Incremental = (Seed % 5) == 0;
   R.Batch = (Seed % 7) == 0;
@@ -865,9 +842,8 @@ SingleShot singleShot(const RewriteRequest &R) {
     return Out;
   rewrite::RewriteOptions O;
   O.NumThreads = R.Threads;
-  O.Matcher = R.Matcher == 1   ? rewrite::MatcherKind::Machine
-              : R.Matcher == 2 ? rewrite::MatcherKind::Fast
-                               : rewrite::MatcherKind::Plan;
+  O.Matcher = R.Matcher == 1 ? rewrite::MatcherKind::Machine
+                             : rewrite::MatcherKind::Plan;
   O.Incremental = R.Incremental;
   O.Batch = R.Batch;
   if (R.MaxRewrites)

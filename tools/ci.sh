@@ -49,11 +49,11 @@ cmake --build build-ci-asan -j "$JOBS"
 ctest --test-dir build-ci-asan "${CTEST_ARGS[@]}"
 
 # The plan matcher's differential, governance (budget/quarantine), and
-# .pypmplan hostile-input suites get a dedicated ASan/UBSan leg: the
-# bytecode interpreter shares FastMatcher's trail/unwind machinery and
-# the loader's recompile-and-compare path allocates aggressively, so
-# this is where lifetime bugs would hide. (ctest above already ran them
-# once; this re-run keeps the plan legs loud and greppable in CI logs.)
+# .pypmplan hostile-input suites get a dedicated ASan/UBSan leg: the plan
+# executor's trail/unwind machinery and the loader's recompile-and-compare
+# path allocate aggressively, so this is where lifetime bugs would hide.
+# (ctest above already ran them once; this re-run keeps the plan legs loud
+# and greppable in CI logs.)
 echo "=== plan-matcher suites under ASan/UBSan ==="
 ./build-ci-asan/tests/pypm_tests \
   --gtest_filter='*MatchPlan*:MalformedPlanBinary.*'
@@ -72,8 +72,8 @@ echo "=== profiled-plan suites under TSan ==="
 ./build-ci-tsan/tests/pypm_tests \
   --gtest_filter='*PlanProfile*'
 
-# Batched + incremental discovery: the dirty-region memo and the shared
-# batch matchers are per-pass mutable state threaded through the parallel
+# Batched + incremental discovery: the dirty-region memo and the batched
+# candidate masks are per-pass mutable state threaded through the parallel
 # engine, so the differential suite runs under both sanitizers — TSan for
 # the frozen-mask/memo handoff across workers, ASan/UBSan for the memo
 # record/replay lifetime. Tier-1 members ran in ctest above; the quick
@@ -161,56 +161,36 @@ for B in build-ci-tsan build-ci-asan; do
   grep -q '"served":3' "$SMOKE/replies.$B.jsonl" # clean drain counted all 3
 done
 
-# AOT plan backends. The threaded tier runs under both sanitizers — the
-# computed-goto loop shares ExecState's trail/unwind machinery with the
-# interpreter (ASan/UBSan territory) and discovery workers each spin up an
-# executor over the one shared decoded stream (TSan territory). The
-# hostile-input .so corpus (MalformedAotLibrary.*) rides along under
-# ASan/UBSan: the validation ladder's whole job is rejecting corrupt
-# artifacts before dlopen can make anything undefined.
-echo "=== AOT plan-backend suites under ASan/UBSan ==="
-./build-ci-asan/tests/pypm_tests \
-  --gtest_filter='*Aot*:MalformedAotLibrary.*'
+# The plan executor (tests/test_executor.cpp) under both sanitizers: its
+# computed-goto loop runs the trail/unwind machinery of ExecState
+# (ASan/UBSan territory) and discovery workers each spin up an executor
+# over the one shared decoded stream (TSan territory). The suites keep the
+# names of the matchers they were ported from (FastMatcher*, Aot*), so
+# their test ids stay stable.
+echo "=== plan-executor suites under ASan/UBSan ==="
+./build-ci-asan/tests/pypm_tests --gtest_filter='FastMatcher*:*Aot*'
 
-echo "=== AOT plan-backend suites under TSan ==="
-./build-ci-tsan/tests/pypm_tests --gtest_filter='*Aot*'
+echo "=== plan-executor suites under TSan ==="
+./build-ci-tsan/tests/pypm_tests --gtest_filter='FastMatcher*:*Aot*'
 
-# Emitted-.so round trip, end to end over the real CLI: compile-plan
-# builds the library, rewrite runs it via --aot-lib and must agree with
-# the interpreter run bit for bit; a garbage library must exit 9. Runs
-# against the plain build (the emitter invokes the host compiler, whose
-# output is uninstrumented) and auto-skips when no host compiler exists —
-# the same condition under which the in-process tests GTEST_SKIP.
-if command -v c++ >/dev/null 2>&1 || command -v g++ >/dev/null 2>&1; then
-  echo "=== emitted-plan .so round trip (pypmc) ==="
-  ./build-ci/tools/pypmc compile-plan "$SMOKE/rules.pypm" \
-    -o "$SMOKE/rules.pypmplan" --aot="$SMOKE/rules.so"
-  ./build-ci/tools/pypmc rewrite "$SMOKE/rules.pypmplan" \
-    "$SMOKE/graph.pypmg" -o "$SMOKE/out-aot.pypmg" \
-    --matcher=plan-aot --aot-lib="$SMOKE/rules.so"
-  ./build-ci/tools/pypmc rewrite "$SMOKE/rules.pypmplan" \
-    "$SMOKE/graph.pypmg" -o "$SMOKE/out-plan.pypmg" --matcher=plan
-  cmp "$SMOKE/out-aot.pypmg" "$SMOKE/out-plan.pypmg"
-  printf 'not a shared object' > "$SMOKE/garbage.so"
-  if ./build-ci/tools/pypmc rewrite "$SMOKE/rules.pypmplan" \
-    "$SMOKE/graph.pypmg" --aot-lib="$SMOKE/garbage.so" \
-    2> "$SMOKE/garbage.err"; then
-    echo "error: garbage --aot-lib was accepted" >&2
-    exit 1
-  else
-    [[ $? -eq 9 ]]
-  fi
-  grep -q 'aot.not-an-artifact' "$SMOKE/garbage.err"
-else
-  echo "=== emitted-plan .so round trip: SKIPPED (no host C++ compiler" \
-    "on PATH; the threaded tier above still covers AOT execution) ==="
-fi
-
-# Threaded-vs-interpreter sweep (smoke): exercises the sweep driver end to
-# end and asserts match-count agreement as it times (the committed
-# BENCH_aot_sweep.json is produced by a full-size run).
-echo "=== aot-sweep benchmark (smoke) ==="
-./build-ci/bench/bench_partitioning --aot-sweep --smoke >/dev/null
+# The default matcher (plan) against the reference machine, end to end over
+# the real CLI: on each shipped example rule set the rewritten graphs must
+# be byte-identical.
+echo "=== plan vs machine on the example rule sets (pypmc) ==="
+printf 'z = Zero() : f32[]\nx = Input[uid=1]() : f32[]\nn = Neg(x) : f32[]\nnn = Neg(n) : f32[]\na = Add(nn, z) : f32[]\nb = Add(z, a) : f32[]\noutput b\n' \
+  > "$SMOKE/algebra.pypmg"
+printf 'x = Input[uid=1]() : f32[8x4]\ny = Input[uid=2]() : f32[4x8]\ntx = Trans(x) : f32[4x8]\nty = Trans(y) : f32[8x4]\nm = MatMul(tx, ty) : f32[4x4]\nt = Trans(m) : f32[4x4]\ntt = Trans(t) : f32[4x4]\noutput tt\n' \
+  > "$SMOKE/transpose.pypmg"
+printf 'a = Input[uid=1]() : f32[8x8]\nb = Input[uid=2]() : f32[8x8]\nc = Input[uid=3]() : f32[8x8]\nm = MatMul(a, b) : f32[8x8]\nr = Relu(m) : f32[8x8]\nm2 = MatMul(r, c) : f32[8x8]\ns = Sigmoid(m2) : f32[8x8]\noutput s\n' \
+  > "$SMOKE/epilog_fusion.pypmg"
+for RS in algebra transpose epilog_fusion; do
+  ./build-ci/tools/pypmc rewrite "examples/rulesets/$RS.pypm" \
+    "$SMOKE/$RS.pypmg" -o "$SMOKE/$RS.plan.pypmg" 2>/dev/null
+  ./build-ci/tools/pypmc rewrite "examples/rulesets/$RS.pypm" \
+    "$SMOKE/$RS.pypmg" -o "$SMOKE/$RS.machine.pypmg" --matcher=machine \
+    2>/dev/null
+  cmp "$SMOKE/$RS.plan.pypmg" "$SMOKE/$RS.machine.pypmg"
+done
 
 # Smoke-sized batched/incremental benchmark: exercises the sweep driver
 # end to end and sanity-checks that the modes actually amortize (the
@@ -259,8 +239,7 @@ echo "=== critical-sweep benchmark (smoke) ==="
 # bugprone-* and performance-* checks, warnings-as-errors, against the
 # compile database the plain build exports. Scoped to src/analysis/ — the
 # newest, most pointer-juggling code — so the leg stays fast and the
-# signal stays high. Auto-skips when clang-tidy is not on PATH, the same
-# convention as the emitted-.so leg above.
+# signal stays high. Auto-skips when clang-tidy is not on PATH.
 if command -v clang-tidy >/dev/null 2>&1; then
   echo "=== clang-tidy (src/analysis/, bugprone-* performance-*) ==="
   clang-tidy -p build-ci \

@@ -21,11 +21,8 @@
 /// permissions) from a malformed artifact without scraping stderr.
 /// `rewrite` additionally distinguishes the failure taxonomy of a governed
 /// run: 3 budget exhausted, 4 cancelled (SIGINT), 5 completed with
-/// quarantined patterns, 6 fault injected ($PYPM_FAULT), 9 when an
-/// explicitly requested emitted-plan library (--aot-lib=) fails any rung
-/// of the AOT validation ladder — the aot.* diagnostic on stderr names
-/// the rung; an *implicit* fallback (matcher plan-aot without a usable
-/// library never requested by path) is a warning, not an exit code.
+/// quarantined patterns, 6 fault injected ($PYPM_FAULT), 7 lint rejected
+/// (--lint).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,8 +38,6 @@
 #include "plan/PlanBuilder.h"
 #include "plan/PlanSerializer.h"
 #include "plan/Profile.h"
-#include "plan/aot/Emitter.h"
-#include "plan/aot/Library.h"
 #include "rewrite/RewriteEngine.h"
 #include "server/PlanCache.h"
 #include "sim/CostModel.h"
@@ -65,8 +60,7 @@ int usage() {
                "usage: pypmc compile <file.pypm> -o <file.pypmbin>\n"
                "       pypmc compile-plan <file.pypm|file.pypmbin> "
                "-o <file.pypmplan> [--emit-plan]\n"
-               "                     [--profile=<file.pypmprof>] "
-               "[--emit-cpp=<file.cpp>] [--aot=<file.so>]\n"
+               "                     [--profile=<file.pypmprof>]\n"
                "       pypmc check   <file.pypm>\n"
                "       pypmc lint    <file.pypm|file.pypmbin|file.pypmplan> "
                "[--json] [--notes] [--critical-pairs]\n"
@@ -79,12 +73,11 @@ int usage() {
                "[-o <out.pypmg>] [--threads N]\n"
                "                     [--budget-ms M] [--max-steps N] "
                "[--stats-json]\n"
-               "                     [--matcher=machine|fast|plan|"
-               "plan-threaded|plan-aot] [--emit-plan] [--lint]\n"
+               "                     [--matcher=machine|plan] "
+               "[--emit-plan] [--lint]\n"
                "                     [--incremental] [--batch] "
                "[--profile-out=<file.pypmprof>]\n"
-               "                     [--plan-cache-dir=<dir>] "
-               "[--aot-lib=<file.so>]\n"
+               "                     [--plan-cache-dir=<dir>]\n"
                "                     [--search=greedy|best-of-n|beam|auto] "
                "[--beam-width=N] [--lookahead=N]\n"
                "                     [--search-witnesses=N]\n"
@@ -94,9 +87,7 @@ int usage() {
                "                    4 cancelled, 5 patterns quarantined, "
                "6 fault injected,\n"
                "                    7 lint rejected (--lint), 8 rule-set "
-               "file unreadable,\n"
-               "                    9 emitted-plan library unusable "
-               "(--aot-lib)\n"
+               "file unreadable\n"
                "lint exit codes:    0 no errors, 1 malformed, 2 usage, "
                "7 error findings, 8 unreadable\n");
   return 2;
@@ -186,7 +177,6 @@ int cmdCompile(int Argc, char **Argv) {
 
 int cmdCompilePlan(int Argc, char **Argv) {
   const char *In = nullptr, *Out = nullptr, *ProfilePath = nullptr;
-  const char *EmitCpp = nullptr, *AotOut = nullptr;
   bool EmitPlan = false;
   for (int I = 0; I != Argc; ++I) {
     if (std::strcmp(Argv[I], "-o") == 0 && I + 1 != Argc)
@@ -195,10 +185,6 @@ int cmdCompilePlan(int Argc, char **Argv) {
       EmitPlan = true;
     else if (std::strncmp(Argv[I], "--profile=", 10) == 0)
       ProfilePath = Argv[I] + 10;
-    else if (std::strncmp(Argv[I], "--emit-cpp=", 11) == 0)
-      EmitCpp = Argv[I] + 11;
-    else if (std::strncmp(Argv[I], "--aot=", 6) == 0)
-      AotOut = Argv[I] + 6;
     else if (!In)
       In = Argv[I];
     else
@@ -277,28 +263,6 @@ int cmdCompilePlan(int Argc, char **Argv) {
   if (EmitPlan)
     std::printf("%s", LP->Prog.disassemble(CheckSig).c_str());
 
-  // The AOT artifacts are emitted from the *round-tripped* program — the
-  // exact plan a consumer loading the .pypmplan will run — so the baked
-  // fingerprints match what `pypmc rewrite <plan> --aot-lib=` re-derives.
-  if (EmitCpp) {
-    std::string Src = plan::aot::AotEmitter::emitCpp(LP->Prog);
-    std::ofstream CppFile(EmitCpp, std::ios::binary);
-    if (!CppFile ||
-        !CppFile.write(Src.data(), static_cast<std::streamsize>(Src.size()))) {
-      std::fprintf(stderr, "pypmc: cannot write '%s'\n", EmitCpp);
-      return 1;
-    }
-    std::printf("wrote %s: %zu bytes of emitted C++\n", EmitCpp, Src.size());
-  }
-  if (AotOut) {
-    std::string Err;
-    if (!plan::aot::AotEmitter::buildSharedObject(LP->Prog, AotOut, Err)) {
-      std::fprintf(stderr, "pypmc: %s\n", Err.c_str());
-      return 1;
-    }
-    std::printf("wrote %s: emitted plan (canonical-sig %016llx)\n", AotOut,
-                static_cast<unsigned long long>(LP->Prog.CanonicalSig));
-  }
   return 0;
 }
 
@@ -617,13 +581,12 @@ int cmdRewrite(int Argc, char **Argv) {
   const char *Patterns = nullptr, *GraphPath = nullptr, *Out = nullptr;
   const char *ProfileOut = nullptr;
   const char *PlanCacheDir = nullptr;
-  const char *AotLibPath = nullptr;
   unsigned Threads = 0;
   double BudgetMs = 0;
   uint64_t MaxSteps = 0;
   bool StatsJson = false, EmitPlan = false, Lint = false;
   bool Incremental = false, Batch = false;
-  std::optional<rewrite::MatcherKind> Matcher;
+  rewrite::MatcherKind Matcher = rewrite::MatcherKind::Plan;
   rewrite::SearchStrategy Search = rewrite::SearchStrategy::Greedy;
   unsigned BeamWidth = 4, Lookahead = 1, SearchWitnesses = 4;
   for (int I = 0; I != Argc; ++I) {
@@ -653,14 +616,8 @@ int cmdRewrite(int Argc, char **Argv) {
       const char *V = Argv[I] + 10;
       if (std::strcmp(V, "machine") == 0)
         Matcher = rewrite::MatcherKind::Machine;
-      else if (std::strcmp(V, "fast") == 0)
-        Matcher = rewrite::MatcherKind::Fast;
       else if (std::strcmp(V, "plan") == 0)
         Matcher = rewrite::MatcherKind::Plan;
-      else if (std::strcmp(V, "plan-threaded") == 0)
-        Matcher = rewrite::MatcherKind::PlanThreaded;
-      else if (std::strcmp(V, "plan-aot") == 0)
-        Matcher = rewrite::MatcherKind::PlanAot;
       else
         return usage();
     } else if (std::strncmp(Argv[I], "--search=", 9) == 0) {
@@ -682,8 +639,6 @@ int cmdRewrite(int Argc, char **Argv) {
     else if (std::strncmp(Argv[I], "--search-witnesses=", 19) == 0)
       SearchWitnesses =
           static_cast<unsigned>(std::strtoul(Argv[I] + 19, nullptr, 10));
-    else if (std::strncmp(Argv[I], "--aot-lib=", 10) == 0)
-      AotLibPath = Argv[I] + 10;
     else if (!Patterns)
       Patterns = Argv[I];
     else if (!GraphPath)
@@ -697,7 +652,7 @@ int cmdRewrite(int Argc, char **Argv) {
   term::Signature Sig;
   // The patterns operand accepts textual .pypm, a .pypmbin library, or a
   // precompiled .pypmplan MatchPlan artifact (sniffed by magic). A plan
-  // artifact implies --matcher=plan and skips the in-run compile.
+  // artifact skips the in-run compile.
   std::unique_ptr<pattern::Library> Lib;
   std::unique_ptr<plan::LoadedPlan> LP;
   rewrite::RuleSet OwnRules;
@@ -724,8 +679,6 @@ int cmdRewrite(int Argc, char **Argv) {
       std::fprintf(stderr, "plan cache: %s\n",
                    std::string(server::cacheSourceName(Src)).c_str());
       Sig = CacheEntry->Sig; // private copy; graph parse may extend it
-      if (!Matcher)
-        Matcher = rewrite::MatcherKind::Plan;
     } else if (looksLikePlan(Bytes)) {
       DiagnosticEngine PlanDiags;
       LP = plan::deserializePlan(Bytes, Sig, PlanDiags);
@@ -733,8 +686,6 @@ int cmdRewrite(int Argc, char **Argv) {
         std::fprintf(stderr, "%s", PlanDiags.renderAll().c_str());
         return 1;
       }
-      if (!Matcher)
-        Matcher = rewrite::MatcherKind::Plan;
     } else {
       int RC = 1;
       Lib = load(Patterns, Sig, &RC);
@@ -743,13 +694,6 @@ int cmdRewrite(int Argc, char **Argv) {
       OwnRules.addLibrary(*Lib);
     }
   }
-  // Recording a profile only makes sense against the plan matcher; the
-  // flag implies it rather than silently recording nothing.
-  if (ProfileOut && !Matcher)
-    Matcher = rewrite::MatcherKind::Plan;
-  // Naming an emitted library is an explicit request for the AOT tier.
-  if (AotLibPath && !Matcher)
-    Matcher = rewrite::MatcherKind::PlanAot;
   const rewrite::RuleSet &Rules =
       CacheEntry ? CacheEntry->rules() : (LP ? LP->Rules : OwnRules);
 
@@ -787,31 +731,14 @@ int cmdRewrite(int Argc, char **Argv) {
   std::unique_ptr<plan::Program> FreshPlan;
   const plan::Program *Plan =
       CacheEntry ? &CacheEntry->prog() : (LP ? &LP->Prog : nullptr);
-  if (!Plan && (EmitPlan || rewrite::planFamily(Opts.matcher()))) {
+  if (!Plan && (EmitPlan || Matcher == rewrite::MatcherKind::Plan)) {
     FreshPlan = std::make_unique<plan::Program>(
         plan::PlanBuilder::compile(Rules, Sig));
     Plan = FreshPlan.get();
   }
-  if (rewrite::planFamily(Opts.matcher()))
-    Opts.PrecompiledPlan = Plan;
+  Opts.PrecompiledPlan = Plan;
   if (EmitPlan)
     std::fprintf(stderr, "%s", Plan->disassemble(Sig).c_str());
-
-  // --aot-lib= is an *explicit* request: any validation-ladder failure is
-  // exit 9 with the machine-readable aot.* diagnostic, never a silent
-  // interpreter fallback (that lenient path belongs to the engine, for
-  // callers that set Matcher=PlanAot without naming a library).
-  std::unique_ptr<plan::aot::PlanLibrary> AotLib;
-  if (AotLibPath) {
-    DiagnosticEngine AotDiags;
-    plan::aot::AotLoadStatus St;
-    AotLib = plan::aot::PlanLibrary::load(AotLibPath, *Plan, &AotDiags, St);
-    if (!AotLib) {
-      std::fprintf(stderr, "%s", AotDiags.renderAll().c_str());
-      return 9;
-    }
-    Opts.AotLib = AotLib.get();
-  }
 
   // --profile-out: record committed-order traversal/attempt counters into
   // an empty profile (it binds to whatever plan the run uses) and write
@@ -857,14 +784,16 @@ int cmdRewrite(int Argc, char **Argv) {
                  ProfileOut, ProfBytes.size(),
                  static_cast<unsigned long long>(RecordedProf.Traversals));
   }
+  // Equal costs (a graph no rule touched, or one with no priced node at
+  // all, where both are 0) are a 1x change, not 0/0.
   std::fprintf(stderr, "%s\nsimulated time: %.3fms -> %.3fms (%.3fx)\n",
                Stats.summary().c_str(), Before * 1e3, After * 1e3,
-               Before / After);
+               Before == After ? 1.0 : Before / After);
   if (StatsJson)
     // Schema note: every key is emitted unconditionally — in particular
     // planCompileSeconds is 0.0 (not absent) when no in-run compile
-    // happened (non-plan matcher, or a precompiled .pypmplan / cached /
-    // pre-threaded stream) — so consumers can parse a fixed shape
+    // happened (the CLI compiles the plan itself, or loads a .pypmplan /
+    // cached one) — so consumers can parse a fixed shape
     // (tests/CMakeLists.txt pins this with rewrite_stats_json_schema).
     std::fprintf(stderr,
                  "{\"engine\":%s,\"passes\":%llu,\"fired\":%llu,"

@@ -30,11 +30,6 @@
 ///   --workers N           worker threads (default 2)
 ///   --queue N             admission queue capacity (default 16)
 ///   --plan-cache-dir P    on-disk plan cache directory
-///   --aot                 fourth cache tier: build/serve emitted-plan
-///                         .pypmso libraries next to each .pypmplan
-///                         (needs --plan-cache-dir and a C++ compiler;
-///                         best-effort — absent toolchain or failed
-///                         builds just serve the interpreter tiers)
 ///   --ruleset NAME=PATH   preload a named rule set (repeatable)
 ///   --sticky-quarantine   carry quarantine decisions across requests
 ///
@@ -68,7 +63,7 @@ int usage() {
   std::fprintf(
       stderr,
       "usage: pypmd serve --stdio [--workers N] [--queue N]\n"
-      "                   [--plan-cache-dir P] [--aot]\n"
+      "                   [--plan-cache-dir P]\n"
       "                   [--ruleset NAME=PATH]...\n"
       "                   [--sticky-quarantine]\n"
       "       pypmd serve --socket <path> [same options]\n"
@@ -76,9 +71,7 @@ int usage() {
       "<graph.pypmg>\n"
       "                   [--seq N] [--deadline-us N] [--max-steps N]\n"
       "                   [--max-mu N] [--max-rewrites N] [--threads N]\n"
-      "                   [--matcher=machine|fast|plan|plan-threaded|"
-      "plan-aot]\n"
-      "                   [--incremental]\n"
+      "                   [--matcher=machine|plan] [--incremental]\n"
       "                   [--batch] [--fault-seed N] [--fault-period N]\n"
       "                   [--search=greedy|best-of-n|beam|auto] "
       "[--beam-width N]\n"
@@ -178,14 +171,8 @@ bool parseEmitRewrite(int Argc, char **Argv, RewriteRequest &R) {
       const char *V = Argv[I] + 10;
       if (std::strcmp(V, "machine") == 0)
         R.Matcher = 1;
-      else if (std::strcmp(V, "fast") == 0)
-        R.Matcher = 2;
       else if (std::strcmp(V, "plan") == 0)
         R.Matcher = 3;
-      else if (std::strcmp(V, "plan-threaded") == 0)
-        R.Matcher = 4;
-      else if (std::strcmp(V, "plan-aot") == 0)
-        R.Matcher = 5;
       else
         return false;
     } else if (std::strcmp(Argv[I], "--incremental") == 0)
@@ -352,8 +339,6 @@ bool parseServeOptions(int Argc, char **Argv, ServerOptions &SO,
       SO.QueueCapacity = std::strtoull(Argv[++I], nullptr, 10);
     else if (std::strcmp(Argv[I], "--plan-cache-dir") == 0 && I + 1 != Argc)
       SO.Cache.Dir = Argv[++I];
-    else if (std::strcmp(Argv[I], "--aot") == 0)
-      SO.Cache.Aot = true;
     else if (std::strcmp(Argv[I], "--sticky-quarantine") == 0)
       SO.StickyQuarantine = true;
     else if (std::strcmp(Argv[I], "--ruleset") == 0 && I + 1 != Argc) {
