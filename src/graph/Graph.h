@@ -126,6 +126,13 @@ public:
   const std::vector<NodeId> &outputs() const { return Outputs; }
   void addOutput(NodeId N) { Outputs.push_back(N); }
 
+  /// Makes room for \p N nodes, so a reader that knows the size up front
+  /// grows the node table once.
+  void reserve(size_t N) {
+    Nodes.reserve(N);
+    Users.reserve(N);
+  }
+
   /// Total allocated node slots (dead included); node ids are < numNodes().
   size_t numNodes() const { return Nodes.size(); }
   size_t numLiveNodes() const;

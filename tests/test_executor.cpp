@@ -47,6 +47,7 @@ using namespace pypm::pattern;
 using namespace pypm::plan;
 using pypm::testing::CoreFixture;
 using pypm::testing::expectExecutorMatchesMachine;
+using pypm::testing::namedPattern;
 using pypm::testing::expectFullyEqual;
 using pypm::testing::expectOutcomesEqual;
 using pypm::testing::expectSameRewrites;
@@ -67,7 +68,7 @@ namespace {
 class ExecutorFixture : public CoreFixture {
 protected:
   const plan::Program &compileSingle(const Pattern *P) {
-    Defs.push_back(NamedPattern{Symbol::intern("P"), {}, {}, P});
+    Defs.push_back(namedPattern("P", P));
     rewrite::RuleSet RS;
     RS.addPattern(Defs.back());
     Progs.push_back(plan::PlanBuilder::compile(RS, Sig));
@@ -263,7 +264,7 @@ TEST_P(FastMatcherRandomTest, RandomPatternsAgree) {
   for (int Iter = 0; Iter != 400; ++Iter) {
     term::TermRef T = RC.term(4);
     const Pattern *P = RC.pattern(3);
-    Defs.push_back(NamedPattern{Symbol::intern("P"), {}, {}, P});
+    Defs.push_back(namedPattern("P", P));
     rewrite::RuleSet RS;
     RS.addPattern(Defs.back());
     plan::Program Prog = plan::PlanBuilder::compile(RS, RC.Sig);
@@ -402,10 +403,7 @@ TEST_P(AotThreadedRandomTest, RandomPatternsAgree) {
   rewrite::RuleSet RS;
   for (int I = 0; I != 150; ++I) {
     Terms.push_back(RC.term(4));
-    Defs.push_back(NamedPattern{Symbol::intern("P" + std::to_string(I)),
-                                {},
-                                {},
-                                RC.pattern(3)});
+    Defs.push_back(namedPattern("P" + std::to_string(I), RC.pattern(3)));
     RS.addPattern(Defs.back());
   }
   plan::Program Prog = plan::PlanBuilder::compile(RS, RC.Sig);

@@ -41,6 +41,7 @@ using namespace pypm;
 using graph::Graph;
 using graph::NodeId;
 using graph::TermView;
+using pypm::testing::randomDag;
 using rewrite::MatcherKind;
 
 namespace {
@@ -115,85 +116,6 @@ std::string dagRules() {
          "pattern NT(x, z) { return Neg(Trans(Relu(x))); }\n"
          "rule sink_neg_add for NT(x, z) { return Trans(Add(Neg(x), z)); }\n"
          "rule sink_neg_relu for NT(x, z) { return Trans(Neg(Relu(x))); }\n";
-}
-
-/// A seeded random DAG over Neg/Relu/Trans/MatMul/Add/Zero, every value
-/// f32[16x16]. Operands come from the last few nodes (chains, so rewrites
-/// cascade) or from anywhere (shared inputs and fan-out); planted shapes
-/// give every rule something to fire on, and duplicate Relu/Neg towers over
-/// shared operands give the representative rule something to choose.
-std::string randomDag(uint64_t Seed, unsigned NumNodes = 120) {
-  Rng R(Seed * 0x9e3779b97f4a7c15ULL + 17);
-  std::string Text;
-  std::vector<std::string> Names;
-  std::vector<unsigned> Users;
-  auto Add = [&](const std::string &Rhs) {
-    std::string N = "v" + std::to_string(Names.size());
-    Text += N + " = " + Rhs + " : f32[16x16]\n";
-    Names.push_back(N);
-    Users.push_back(0);
-    return static_cast<unsigned>(Names.size() - 1);
-  };
-  auto Use = [&](unsigned I) {
-    ++Users[I];
-    return Names[I];
-  };
-  unsigned NumInputs = static_cast<unsigned>(R.range(3, 6));
-  for (unsigned I = 0; I != NumInputs; ++I)
-    Add("Input[uid=" + std::to_string(I) + "]()");
-  unsigned Zero = Add("Zero()");
-  auto Pick = [&]() -> unsigned {
-    if (R.chance(3, 5))
-      return static_cast<unsigned>(
-          Names.size() - 1 - R.below(std::min<size_t>(Names.size(), 6)));
-    return static_cast<unsigned>(R.below(Names.size()));
-  };
-  auto Un = [&](const char *Op, unsigned X) {
-    return Add(std::string(Op) + "(" + Use(X) + ")");
-  };
-  auto Bin = [&](const char *Op, unsigned X, unsigned Y) {
-    return Add(std::string(Op) + "(" + Use(X) + ", " + Use(Y) + ")");
-  };
-  while (Names.size() < NumNodes) {
-    unsigned X = Pick();
-    switch (R.below(10)) {
-    case 0:
-      Un("Neg", Un("Neg", X));
-      break;
-    case 1:
-      Un("Trans", Un("Trans", X));
-      break;
-    case 2:
-      Bin("Add", X, Zero);
-      break;
-    case 3:
-      Bin("MatMul", Un("Trans", X), Un("Trans", Pick()));
-      break;
-    case 4:
-      Un("Relu", Un("Neg", Un("Relu", X)));
-      break;
-    case 5:
-      if (R.chance(1, 2))
-        Un("Relu", Un("Neg", Un("Neg", X)));
-      else if (R.chance(1, 2))
-        Un("Neg", Un("Trans", Un("Relu", X)));
-      else
-        Un("Neg", Un("Trans", Bin("Add", X, Pick())));
-      break;
-    case 6: {
-      static const char *Unary[] = {"Neg", "Relu", "Trans"};
-      Un(Unary[R.below(3)], X);
-      break;
-    }
-    default:
-      Bin(R.chance(1, 2) ? "Add" : "MatMul", X, Pick());
-      break;
-    }
-  }
-  for (unsigned I = NumInputs + 1; I != Names.size(); ++I)
-    if (Users[I] == 0)
-      Text += "output " + Names[I] + "\n";
-  return Text;
 }
 
 /// One engine run's committed observables.

@@ -40,6 +40,7 @@ using namespace pypm::match;
 using namespace pypm::pattern;
 using pypm::testing::CoreFixture;
 using pypm::testing::expectExecutorMatchesMachine;
+using pypm::testing::namedPattern;
 using pypm::testing::expectOutcomesEqual;
 using pypm::testing::runStressCase;
 using pypm::testing::StressOutcome;
@@ -52,7 +53,7 @@ protected:
   /// Compiles \p P as the sole entry of a program. The NamedPattern and
   /// Program must outlive the executor runs, hence the deques.
   const plan::Program &compileSingle(const Pattern *P) {
-    Defs.push_back(NamedPattern{Symbol::intern("P"), {}, {}, P});
+    Defs.push_back(namedPattern("P", P));
     rewrite::RuleSet RS;
     RS.addPattern(Defs.back());
     Progs.push_back(plan::PlanBuilder::compile(RS, Sig));
@@ -147,12 +148,10 @@ TEST_F(MatchPlanTest, ResumeStreamsAgree) {
 TEST_F(MatchPlanTest, SharedPrefixIsFactoredInTheTree) {
   // Two patterns share the MatMul root; a third roots at Trans. The tree
   // must discriminate at the root and the mask must reflect it.
-  Defs.push_back(NamedPattern{Symbol::intern("A"), {}, {},
-                              app("MatMul", {app("Trans", {v("x")}), v("y")})});
-  Defs.push_back(NamedPattern{Symbol::intern("B"), {}, {},
-                              app("MatMul", {v("x"), v("y")})});
   Defs.push_back(
-      NamedPattern{Symbol::intern("C"), {}, {}, app("Trans", {v("x")})});
+      namedPattern("A", app("MatMul", {app("Trans", {v("x")}), v("y")})));
+  Defs.push_back(namedPattern("B", app("MatMul", {v("x"), v("y")})));
+  Defs.push_back(namedPattern("C", app("Trans", {v("x")})));
   rewrite::RuleSet RS;
   for (const NamedPattern &NP : Defs)
     RS.addPattern(NP);
@@ -237,7 +236,7 @@ TEST_P(MatchPlanRandomTest, RandomPatternsAgree) {
   for (int Iter = 0; Iter != 150; ++Iter) {
     term::TermRef T = RC.term(4);
     const Pattern *P = RC.pattern(3);
-    Defs.push_back(NamedPattern{Symbol::intern("P"), {}, {}, P});
+    Defs.push_back(namedPattern("P", P));
     rewrite::RuleSet RS;
     RS.addPattern(Defs.back());
     plan::Program Prog = plan::PlanBuilder::compile(RS, RC.Sig);

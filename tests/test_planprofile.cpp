@@ -54,6 +54,7 @@ using namespace pypm::match;
 using namespace pypm::pattern;
 using pypm::testing::CoreFixture;
 using pypm::testing::expectExecutorMatchesMachine;
+using pypm::testing::namedPattern;
 using pypm::testing::expectOutcomesEqual;
 using pypm::testing::expectStatsEqual;
 using pypm::testing::StressOutcome;
@@ -109,7 +110,7 @@ plan::Profile garbageProfile(const plan::Program &P, uint64_t Seed) {
 class PlanProfileAttemptTest : public CoreFixture {
 protected:
   void addPattern(const char *Name, const Pattern *P) {
-    Defs.push_back(NamedPattern{Symbol::intern(Name), {}, {}, P});
+    Defs.push_back(namedPattern(Name, P));
     RS.addPattern(Defs.back());
   }
 
@@ -287,11 +288,7 @@ TEST_F(PlanProfileAttemptTest, StaleProfileRejectedWithoutSideEffects) {
   // refuse, and the program must be left untouched.
   rewrite::RuleSet Other;
   std::deque<NamedPattern> OtherDefs;
-  OtherDefs.push_back(
-      NamedPattern{Symbol::intern("NN"),
-                   {},
-                   {},
-                   app("Neg", {app("Neg", {v("x")})})});
+  OtherDefs.push_back(namedPattern("NN", app("Neg", {app("Neg", {v("x")})})));
   Other.addPattern(OtherDefs.back());
   plan::Program OtherProg = plan::PlanBuilder::compile(Other, Sig);
   EXPECT_NE(OtherProg.CanonicalSig, Prog.CanonicalSig);

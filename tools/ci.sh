@@ -100,6 +100,19 @@ echo "=== fire-local commit suites under TSan ==="
 ./build-ci-tsan/tests/pypm_tests \
   --gtest_filter='CrossMatcherRewrite.*:*PersistentTermView*'
 
+# The graph text codec reads with its own index arithmetic (a cursor over
+# the whole buffer, dense name and uid tables sized from the text), so its
+# hostile-input corpora and contract suites run under ASan/UBSan. Two
+# daemon workers parse concurrently, each with caches local to its call,
+# so the concurrent-client stress runs under TSan.
+echo "=== graph text codec suites under ASan/UBSan ==="
+./build-ci-asan/tests/pypm_tests \
+  --gtest_filter='GraphIO*:MalformedGraphText.*'
+
+echo "=== concurrent daemon clients under TSan ==="
+./build-ci-tsan/tests/pypm_tests \
+  --gtest_filter='ServerStress.FiftySeedConcurrentClientsMatchSingleShot'
+
 # Static rule-set lint: the §4 std libraries and every shipped example rule
 # set must stay free of error-severity findings (pypmc lint exits 7 on any
 # error finding, failing the leg). Run under the ASan/UBSan build — the

@@ -577,6 +577,20 @@ int exitCodeFor(const EngineStatus &S) {
   return 0;
 }
 
+/// The modeled-time change as text, defined for every pair of costs:
+/// equal costs (a graph no rule touched, or one with no priced node at
+/// all, where both are 0) are a 1x change, not 0/0, and a rewrite that
+/// prices the whole graph away reads as that, not as inf.
+std::string speedupText(double Before, double After) {
+  if (Before == After)
+    return "1.000x";
+  if (After == 0)
+    return "all modeled cost removed";
+  char Buf[64];
+  std::snprintf(Buf, sizeof(Buf), "%.3fx", Before / After);
+  return Buf;
+}
+
 int cmdRewrite(int Argc, char **Argv) {
   const char *Patterns = nullptr, *GraphPath = nullptr, *Out = nullptr;
   const char *ProfileOut = nullptr;
@@ -784,11 +798,9 @@ int cmdRewrite(int Argc, char **Argv) {
                  ProfileOut, ProfBytes.size(),
                  static_cast<unsigned long long>(RecordedProf.Traversals));
   }
-  // Equal costs (a graph no rule touched, or one with no priced node at
-  // all, where both are 0) are a 1x change, not 0/0.
-  std::fprintf(stderr, "%s\nsimulated time: %.3fms -> %.3fms (%.3fx)\n",
+  std::fprintf(stderr, "%s\nsimulated time: %.3fms -> %.3fms (%s)\n",
                Stats.summary().c_str(), Before * 1e3, After * 1e3,
-               Before == After ? 1.0 : Before / After);
+               speedupText(Before, After).c_str());
   if (StatsJson)
     // Schema note: every key is emitted unconditionally — in particular
     // planCompileSeconds is 0.0 (not absent) when no in-run compile
