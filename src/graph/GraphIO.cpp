@@ -319,6 +319,10 @@ bool GraphReader::line() {
       error("output references unknown node '" + std::string(Ref) + "'");
       return false;
     }
+    if (!atLineEnd()) {
+      error("trailing characters");
+      return false;
+    }
     G->addOutput(N);
     return true;
   }

@@ -28,12 +28,10 @@
 /// decrement, it only skips re-cloning the body
 /// (tests/test_executor.cpp pins the reuse parity per attempt).
 ///
-/// The portable cell-dispatch loop lives here too (runExecLoop): step
-/// counting, the 1024-step budget poll, and the ActionKind dispatch as one
-/// function templated over the compiled-Match step; the executor's
-/// computed-goto loop repeats it verbatim. The dynamic μ-escape step
-/// (stepMatchDyn) matches μ-unfold clones, which exist only at run time,
-/// over the pattern AST.
+/// The dispatch loop itself (step counting, the 1024-step budget poll, the
+/// ActionKind dispatch) is plan/Executor.cpp's runThreadedLoop. The
+/// dynamic μ-escape step (stepMatchDyn) lives here: it matches μ-unfold
+/// clones, which exist only at run time, over the pattern AST.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,7 +40,6 @@
 
 #include "match/Machine.h"
 #include "plan/Program.h"
-#include "support/Budget.h"
 
 #include <deque>
 #include <unordered_map>
@@ -220,85 +217,6 @@ struct ExecGuardEnv final : public pattern::GuardEnv {
   }
   const term::TermArena &arena() const override { return A; }
 };
-
-/// The portable cell-dispatch loop. \p Step executes one *compiled*
-/// Match cell: signature match::MachineStatus(uint32_t PC, term::TermRef
-/// T), returning Running or the result of a backtrack/fuel terminal.
-/// Everything else — step counting, the 1024-step engine-budget poll,
-/// guard evaluation, θ/φ checks, constraint re-dispatch, and the dynamic
-/// μ-escape — is this one function; plan/Executor.cpp's computed-goto loop
-/// repeats it step for step.
-template <typename CompiledStep>
-match::MachineStatus runExecLoop(ExecState &St,
-                                 const match::Machine::Options &Opts,
-                                 const pattern::GuardEnv &Env,
-                                 CompiledStep &&Step) {
-  using match::ActionKind;
-  using match::MachineStatus;
-  while (St.Status == MachineStatus::Running) {
-    if (++St.Stats.Steps > Opts.MaxSteps) {
-      St.Status = MachineStatus::OutOfFuel;
-      break;
-    }
-    if (Opts.EngineBudget && (St.Stats.Steps & 1023u) == 0 &&
-        Opts.EngineBudget->interrupted()) {
-      St.Status = MachineStatus::OutOfFuel;
-      break;
-    }
-    if (!St.Cont) {
-      St.Status = MachineStatus::Success;
-      break;
-    }
-    const ExecState::Cell &A = *St.Cont;
-    const ExecState::Cell *Rest = St.Cont->Next;
-    switch (A.Kind) {
-    case ActionKind::Match: {
-      St.Cont = Rest;
-      MachineStatus S =
-          A.PC != kNoPC ? Step(A.PC, A.T) : St.stepMatchDyn(A.Pat, A.T);
-      if (S != MachineStatus::Running)
-        St.Status = S;
-      break;
-    }
-    case ActionKind::Guard: {
-      ++St.Stats.GuardEvals;
-      pattern::GuardEval E = A.Guard->evalBool(Env);
-      if (!E.ok())
-        ++St.Stats.GuardStuck;
-      if (E.truthy())
-        St.Cont = Rest;
-      else
-        St.backtrack();
-      break;
-    }
-    case ActionKind::CheckName:
-      if (St.Theta.count(A.Var))
-        St.Cont = Rest;
-      else
-        St.backtrack();
-      break;
-    case ActionKind::CheckFunName:
-      if (St.Phi.count(A.Var))
-        St.Cont = Rest;
-      else
-        St.backtrack();
-      break;
-    case ActionKind::MatchConstr: {
-      auto It = St.Theta.find(A.Var);
-      if (It == St.Theta.end()) {
-        St.backtrack();
-        break;
-      }
-      if (A.PC != kNoPC)
-        St.Cont = St.consMatch(A.PC, It->second, Rest);
-      else
-        St.Cont = St.consMatchDyn(A.Pat, It->second, Rest);
-      break;
-    }
-    }
-  }
-  return St.Status;
-}
 
 } // namespace pypm::plan
 

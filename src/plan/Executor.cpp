@@ -1,110 +1,34 @@
 //===- plan/Executor.cpp - The MatchPlan executor -------------------------===//
 //
 // Program::decode resolves every instruction's operands once; the
-// executor then runs the stream. runThreadedLoop mirrors plan/ExecState.h's
-// runExecLoop with the compiled Match step inlined as computed-goto label
-// bodies; threadedStep is the same step as a plain switch for toolchains
-// without the &&label extension. When editing, keep the label bodies, the
-// switch cases, and the loop head step-for-step identical (the
-// differential suites pin this executor to the reference Machine).
+// executor then runs the stream. runThreadedLoop is the one dispatch loop:
+// cell dispatch at its head, the compiled Match steps as computed-goto
+// label bodies. Its step accounting and action sequence are the reference
+// Machine's (Figs. 17-18), step for step, which the differential suites
+// (tests/test_executor.cpp, tests/test_matchplan.cpp) pin. The loop head
+// and AfterStep's label-to-label fast path must charge the same
+// accounting.
 //
 //===----------------------------------------------------------------------===//
 
 #include "plan/Executor.h"
+#include "support/Budget.h"
 
 using namespace pypm;
 using namespace pypm::plan;
 using namespace pypm::match;
 
-// Computed-goto dispatch needs the GNU &&label extension; MSVC and friends
-// run the identical stream through threadedStep's switch. Either way the
-// executed step sequence is the same.
-#if defined(__GNUC__) || defined(__clang__)
-#define PYPM_PLAN_COMPUTED_GOTO 1
-#else
-#define PYPM_PLAN_COMPUTED_GOTO 0
+// Dispatch is direct-threaded: each decoded instruction carries the
+// address of its label in runThreadedLoop. That needs the GNU &&label
+// extension (GCC, Clang); there is no portable fallback.
+#if !defined(__GNUC__) && !defined(__clang__)
+#error "plan/Executor.cpp needs labels-as-values (GCC or Clang)"
 #endif
 
 namespace {
 
-/// Executes one compiled Match step at \p I against \p T — the portable
-/// switch spelling, used by the non-GNU dispatch loop. The computed-goto
-/// loop below carries the same bodies as label blocks; keep both in sync.
-[[maybe_unused]] MachineStatus threadedStep(ExecState *St,
-                                            const DecodedInstr *I,
-                                            const uint32_t *ChildPCs,
-                                            term::TermRef T) {
-  switch (I->Op) {
-  case OpCode::MatchVar:
-    if (St->bindVar(I->Sym, T))
-      return MachineStatus::Running;
-    return St->backtrack();
-  case OpCode::MatchApp:
-    if (I->OpId != T->op())
-      return St->backtrack();
-    for (uint32_t C = I->NumChildren; C-- > 0;)
-      St->Cont = St->consMatch(ChildPCs[I->FirstChild + C], T->child(C),
-                                St->Cont);
-    return MachineStatus::Running;
-  case OpCode::MatchFunVarApp:
-    if (I->NumChildren != T->arity())
-      return St->backtrack();
-    if (!St->bindFunVar(I->Sym, T->op()))
-      return St->backtrack();
-    for (uint32_t C = I->NumChildren; C-- > 0;)
-      St->Cont = St->consMatch(ChildPCs[I->FirstChild + C], T->child(C),
-                                St->Cont);
-    return MachineStatus::Running;
-  case OpCode::MatchAlt:
-    St->pushChoice(St->consMatch(I->B, T, St->Cont));
-    St->Cont = St->consMatch(I->A, T, St->Cont);
-    return MachineStatus::Running;
-  case OpCode::MatchGuarded: {
-    ExecState::Cell G;
-    G.Kind = ActionKind::Guard;
-    G.Guard = I->Guard;
-    G.Next = St->Cont;
-    St->Cont = St->consMatch(I->A, T, St->push(std::move(G)));
-    return MachineStatus::Running;
-  }
-  case OpCode::MatchExists: {
-    ExecState::Cell C;
-    C.Kind = ActionKind::CheckName;
-    C.Var = I->Sym;
-    C.Next = St->Cont;
-    St->Cont = St->consMatch(I->A, T, St->push(std::move(C)));
-    return MachineStatus::Running;
-  }
-  case OpCode::MatchExistsFun: {
-    ExecState::Cell C;
-    C.Kind = ActionKind::CheckFunName;
-    C.Var = I->Sym;
-    C.Next = St->Cont;
-    St->Cont = St->consMatch(I->A, T, St->push(std::move(C)));
-    return MachineStatus::Running;
-  }
-  case OpCode::MatchConstraint: {
-    ExecState::Cell C;
-    C.Kind = ActionKind::MatchConstr;
-    C.PC = I->B;
-    C.Var = I->Sym;
-    C.Next = St->Cont;
-    St->Cont = St->consMatch(I->A, T, St->push(std::move(C)));
-    return MachineStatus::Running;
-  }
-  case OpCode::MatchMu:
-    return St->unfoldMu(I->Mu, T);
-  case OpCode::Fail:
-    return St->backtrack();
-  }
-  assert(false && "unknown opcode");
-  return MachineStatus::Failure;
-}
-
-#if PYPM_PLAN_COMPUTED_GOTO
-
-/// The direct-threaded execution loop: runExecLoop's cell dispatch with
-/// the compiled Match step inlined as label bodies, all in one function.
+/// The direct-threaded execution loop: cell dispatch with the compiled
+/// Match step inlined as label bodies, all in one function.
 /// One function is the point — a step body ending in Running jumps
 /// straight to the next instruction's label (through the identical step
 /// accounting the loop head does), with no call boundary anywhere; GCC
@@ -138,8 +62,8 @@ MachineStatus runThreadedLoop(ExecState *StP, const Machine::Options *OptsP,
   term::TermRef T = nullptr;
 
   while (St.Status == MachineStatus::Running) {
-    // Loop head — verbatim runExecLoop: step count, fuel, the 1024-step
-    // budget poll, then the empty-continuation success check.
+    // Loop head: step count, fuel, the 1024-step budget poll, then the
+    // empty-continuation success check. AfterStep repeats it verbatim.
     if (++St.Stats.Steps > Opts.MaxSteps) {
       St.Status = MachineStatus::OutOfFuel;
       break;
@@ -209,7 +133,8 @@ MachineStatus runThreadedLoop(ExecState *StP, const Machine::Options *OptsP,
       continue;
     }
 
-    // Step bodies — keep identical to threadedStep's switch cases.
+    // Step bodies: one per compiled opcode, each the reference Machine's
+    // step for that pattern form.
   L_MatchVar:
     S = St.bindVar(I->Sym, T) ? MachineStatus::Running : St.backtrack();
     goto AfterStep;
@@ -325,8 +250,6 @@ MachineStatus runThreadedLoop(ExecState *StP, const Machine::Options *OptsP,
   return St.Status;
 }
 
-#endif // PYPM_PLAN_COMPUTED_GOTO
-
 } // namespace
 
 void Program::decode() {
@@ -375,7 +298,6 @@ void Program::decode() {
     }
     Stream.push_back(D);
   }
-#if PYPM_PLAN_COMPUTED_GOTO
   // Label addresses are function-local to runThreadedLoop and stable for
   // the process lifetime, so priming them here keeps executor
   // construction O(1).
@@ -383,7 +305,6 @@ void Program::decode() {
   runThreadedLoop(nullptr, nullptr, nullptr, nullptr, nullptr, &Labels);
   for (DecodedInstr &D : Stream)
     D.Label = Labels[static_cast<uint8_t>(D.Op)];
-#endif
 }
 
 MachineStatus Executor::matchEntry(size_t EntryIdx, term::TermRef T) {
@@ -414,14 +335,7 @@ MachineStatus Executor::runLoop() {
   ExecGuardEnv Env(St, Arena);
   const DecodedInstr *Code = Prog.Stream.data();
   const uint32_t *ChildPCs = Prog.ChildPCs.data();
-#if PYPM_PLAN_COMPUTED_GOTO
   return runThreadedLoop(&St, &Opts, &Env, Code, ChildPCs, nullptr);
-#else
-  return runExecLoop(St, Opts, Env,
-                     [this, Code, ChildPCs](uint32_t PC, term::TermRef T) {
-                       return threadedStep(&St, Code + PC, ChildPCs, T);
-                     });
-#endif
 }
 
 MatchResult Executor::matchOne(size_t EntryIdx, term::TermRef T) {

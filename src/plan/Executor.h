@@ -3,10 +3,9 @@
 /// \file
 /// Executes one entry of a plan::Program over its pre-decoded Stream
 /// (Program::decode): every instruction carries its resolved operands and
-/// — on GCC/Clang — the address of its dispatch label, so each compiled
-/// step is a single indirect goto straight off the instruction
-/// (`goto *I->Label`). Elsewhere the same stream runs through a switch;
-/// behavior is identical, only dispatch cost differs.
+/// the address of its dispatch label, so each compiled step is a single
+/// indirect goto straight off the instruction (`goto *I->Label`). This
+/// needs labels-as-values, so the executor builds with GCC or Clang only.
 ///
 /// The matching machinery is the trail/choice-point design of
 /// plan::ExecState — persistent cons-list continuation, O(1) choice

@@ -147,7 +147,7 @@ public:
       return fail("unsupported match plan version " +
                   std::to_string(Version));
 
-    uint32_t LibLen;
+    uint32_t LibLen = 0;
     if (!readU32(LibLen))
       return nullptr;
     if (Pos + LibLen > Bytes.size())
@@ -163,7 +163,7 @@ public:
     }
 
     Program P; // the artifact's streams, validated then cross-checked
-    uint32_t NumEntries;
+    uint32_t NumEntries = 0;
     if (!readU32(NumEntries))
       return nullptr;
     if (NumEntries > Bytes.size())
@@ -434,7 +434,7 @@ private:
     return true;
   }
   bool readStr(std::string_view &Out) {
-    uint32_t Len;
+    uint32_t Len = 0;
     if (!readU32(Len))
       return false;
     if (Pos + Len > Bytes.size())

@@ -86,8 +86,8 @@ struct Instr {
 /// by value with its stream intact.
 struct DecodedInstr {
   OpCode Op = OpCode::Fail;
-  /// Computed-goto dispatch target inside the executor's loop (GCC/Clang);
-  /// null where the build dispatches through a switch.
+  /// Computed-goto dispatch target inside the executor's loop, set by
+  /// decode().
   const void *Label = nullptr;
   Symbol Sym;                                ///< resolved Syms[] operand
   term::OpId OpId;                           ///< MatchApp operator

@@ -216,6 +216,10 @@ TEST(GraphIOCodec, EveryDiagnosticKeepsItsLineAndColumn) {
       {"a = Input() : f32[4\n", "1:20: error: expected ']'\n"},
       {"a = Input() : f32[4] junk\n", "1:22: error: trailing characters\n"},
       {"a = Input() : f32[4]]\n", "1:21: error: trailing characters\n"},
+      {"a = Input() : f32[4]\noutput a junk\n",
+       "2:10: error: trailing characters\n"},
+      {"a = Input() : f32[4]\noutput a,a\n",
+       "2:9: error: trailing characters\n"},
       {"a = Input() : f32[4]\nb = Relu(a, a) : f32[4]  \n",
        "2:26: error: operator 'Relu' expects 1 inputs, got 2\n"},
       {"a = Input() : f32[4]\nb = Input(a) : f32[4]\n",

@@ -38,6 +38,15 @@ cmake -B build-ci -S . >/dev/null
 cmake --build build-ci -j "$JOBS"
 ctest --test-dir build-ci "${CTEST_ARGS[@]}"
 
+# The configure probe links pypmc and pypmd statically where the toolchain
+# can (tools/CMakeLists.txt); log which link mode this toolchain got. The
+# tier-1 test pypm_tools_static pins it when the probe chose static.
+echo "=== tool link mode (plain build) ==="
+for T in pypmc pypmd; do
+  INTERP=$(readelf -lW "build-ci/tools/$T" | grep -o 'interpreter: [^]]*' || true)
+  echo "$T: ${INTERP:-static, no PT_INTERP}"
+done
+
 echo "=== thread-sanitizer build ==="
 cmake -B build-ci-tsan -S . -DPYPM_SANITIZE=thread >/dev/null
 cmake --build build-ci-tsan -j "$JOBS"
@@ -203,6 +212,15 @@ for RS in algebra transpose epilog_fusion; do
     "$SMOKE/$RS.pypmg" -o "$SMOKE/$RS.machine.pypmg" --matcher=machine \
     2>/dev/null
   cmp "$SMOKE/$RS.plan.pypmg" "$SMOKE/$RS.machine.pypmg"
+done
+
+# The plain build's pypmc is static where the toolchain allows it, the
+# ASan/UBSan build's is dynamic: the two must write the same bytes.
+echo "=== static vs dynamic pypmc on the example rule sets ==="
+for RS in algebra transpose epilog_fusion; do
+  ./build-ci-asan/tools/pypmc rewrite "examples/rulesets/$RS.pypm" \
+    "$SMOKE/$RS.pypmg" -o "$SMOKE/$RS.dynamic.pypmg" 2>/dev/null
+  cmp "$SMOKE/$RS.plan.pypmg" "$SMOKE/$RS.dynamic.pypmg"
 done
 
 # Smoke-sized batched/incremental benchmark: exercises the sweep driver
