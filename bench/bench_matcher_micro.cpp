@@ -18,7 +18,6 @@
 #include "pattern/Serializer.h"
 #include "plan/Executor.h"
 #include "plan/PlanBuilder.h"
-#include "plan/Profile.h"
 #include "rewrite/RewriteEngine.h"
 #include "support/Budget.h"
 
@@ -461,45 +460,6 @@ void BM_PlanMatchAllRuleSweep(benchmark::State &State) {
 }
 BENCHMARK(BM_PlanMatchAllRuleSweep)->DenseRange(1, 7, 2)
     ->Unit(benchmark::kMillisecond);
-
-/// Profile-recording overhead on the plan matcher's hot path: the
-/// identical matchAll workload with and without a plan::Profile attached.
-/// Recording adds a per-group/per-edge counter bump inside the tree
-/// traversal and one pair of entry-counter increments per attempt, so the
-/// recording run must stay within ~5% of its twin — compare these two
-/// numbers when touching the recording hooks (same contract as the
-/// Ungoverned/Governed budget pair above).
-void runPlanDiscovery(benchmark::State &State, bool Record) {
-  RuleSweepCtx X;
-  rewrite::RuleSet Rules = X.prefix(7);
-  plan::Program Plan = plan::PlanBuilder::compile(Rules, X.Sig);
-  rewrite::RewriteOptions Opts;
-  Opts.Matcher = rewrite::MatcherKind::Plan;
-  Opts.PrecompiledPlan = &Plan;
-  plan::Profile Prof;
-  if (Record)
-    Opts.PlanProfile = &Prof;
-  double Discovery = 0;
-  uint64_t Iters = 0;
-  for (auto _ : State) {
-    rewrite::RewriteStats Stats = rewrite::matchAll(*X.G, Rules, Opts);
-    benchmark::DoNotOptimize(Stats.TotalMatches);
-    Discovery += Stats.DiscoverySeconds;
-    ++Iters;
-  }
-  State.counters["discovery_s"] =
-      benchmark::Counter(Iters ? Discovery / static_cast<double>(Iters) : 0);
-}
-
-void BM_PlanDiscoveryUnprofiled(benchmark::State &State) {
-  runPlanDiscovery(State, /*Record=*/false);
-}
-BENCHMARK(BM_PlanDiscoveryUnprofiled)->Unit(benchmark::kMillisecond);
-
-void BM_PlanDiscoveryRecording(benchmark::State &State) {
-  runPlanDiscovery(State, /*Record=*/true);
-}
-BENCHMARK(BM_PlanDiscoveryRecording)->Unit(benchmark::kMillisecond);
 
 /// Same sweep through the full rewrite loop (graph rebuilt per iteration
 /// since rewriting is destructive): end-to-end fixpoint wall-clock per

@@ -16,7 +16,6 @@
 #include "graph/GraphIO.h"
 #include "pattern/Serializer.h"
 #include "plan/PlanBuilder.h"
-#include "plan/Profile.h"
 #include "rewrite/Partition.h"
 #include "server/Server.h"
 
@@ -186,133 +185,16 @@ int runRulesetSweep() {
   return 0;
 }
 
-/// `--profiled-sweep`: cold plan layout (compile order) vs profile-guided
-/// layout, over the same rule-prefix sweep as `--ruleset-sweep`. Per
-/// prefix and model the plan is compiled once, a serial matchAll records
-/// a profile against it, the cold layout is timed best-of-R, then
-/// applyProfile permutes the *same program object in place* and the
-/// profiled layout is timed best-of-R. In-place is load-bearing: a
-/// second, separately compiled Program pays a consistent ~5% allocation-
-/// locality penalty that swamps the ordering effect (measured: two
-/// byte-identical cold plans differ by that much), whereas applyProfile
-/// only stable_sorts existing vectors, so the comparison isolates layout
-/// order. PrecompiledPlan keeps compilation out of the measurement, and
-/// match counts are asserted equal as the runs are timed — the
-/// differential suite's bit-identity claim, re-checked where the numbers
-/// come from.
-int runProfiledSweep() {
-  std::vector<models::ModelEntry> Zoo;
-  for (const auto &Suite : {models::hfSuite(), models::tvSuite()})
-    for (const models::ModelEntry &Model : Suite)
-      Zoo.push_back(Model);
-
-  size_t NumEntries = 0;
-  {
-    term::Signature Sig;
-    RuleSet All;
-    for (auto &Lib :
-         {opt::compileFmha(Sig), opt::compileEpilog(Sig),
-          opt::compileCublas(Sig), opt::compileUnaryChain(Sig)})
-      All.addLibrary(*Lib);
-    NumEntries = All.entries().size();
-  }
-
-  constexpr int Repeats = 9;
-  std::printf("{\n  \"models\": %zu,\n  \"repeats\": %d,\n"
-              "  \"profiled_sweep\": [\n",
-              Zoo.size(), Repeats);
-  for (size_t K = 1; K <= NumEntries; ++K) {
-    double ColdDiscovery = 0, ProfDiscovery = 0;
-    uint64_t ColdMatches = 0, ProfMatches = 0;
-    uint64_t Traversals = 0;
-    for (const models::ModelEntry &Model : Zoo) {
-      term::Signature Sig;
-      auto G = Model.Build(Sig);
-      auto Fmha = opt::compileFmha(Sig);
-      auto Epilog = opt::compileEpilog(Sig);
-      auto Cublas = opt::compileCublas(Sig);
-      auto Unary = opt::compileUnaryChain(Sig);
-      RuleSet All;
-      for (const pattern::Library *Lib :
-           {Fmha.get(), Epilog.get(), Cublas.get(), Unary.get()})
-        All.addLibrary(*Lib);
-      RuleSet Prefix;
-      for (size_t I = 0; I != K && I != All.entries().size(); ++I)
-        Prefix.addPattern(*All.entries()[I].Pattern, All.entries()[I].Rules);
-
-      plan::Program Prog = plan::PlanBuilder::compile(Prefix, Sig);
-      rewrite::RewriteOptions Opts;
-      Opts.Matcher = rewrite::MatcherKind::Plan;
-      Opts.PrecompiledPlan = &Prog;
-      plan::Profile Prof;
-      {
-        rewrite::RewriteOptions RecOpts = Opts;
-        RecOpts.PlanProfile = &Prof;
-        rewrite::matchAll(*G, Prefix, RecOpts);
-      }
-      Traversals += Prof.Traversals;
-
-      double BestCold = 0, BestProf = 0;
-      uint64_t MCold = 0, MProf = 0;
-      for (int Rep = 0; Rep != Repeats; ++Rep) {
-        rewrite::RewriteStats CS = rewrite::matchAll(*G, Prefix, Opts);
-        if (Rep == 0 || CS.DiscoverySeconds < BestCold)
-          BestCold = CS.DiscoverySeconds;
-        MCold = CS.TotalMatches;
-      }
-      if (!plan::PlanBuilder::applyProfile(Prog, Prof)) {
-        std::fprintf(stderr, "profiled-sweep: recorded profile failed to "
-                             "bind to its own plan (rules=%zu)\n",
-                     K);
-        return 1;
-      }
-      for (int Rep = 0; Rep != Repeats; ++Rep) {
-        rewrite::RewriteStats PS = rewrite::matchAll(*G, Prefix, Opts);
-        if (Rep == 0 || PS.DiscoverySeconds < BestProf)
-          BestProf = PS.DiscoverySeconds;
-        MProf = PS.TotalMatches;
-      }
-      if (MCold != MProf) {
-        std::fprintf(stderr,
-                     "profiled-sweep: match divergence (rules=%zu, "
-                     "model=%s, cold=%llu, profiled=%llu)\n",
-                     K, Model.Name.c_str(), (unsigned long long)MCold,
-                     (unsigned long long)MProf);
-        return 1;
-      }
-      ColdDiscovery += BestCold;
-      ProfDiscovery += BestProf;
-      ColdMatches += MCold;
-      ProfMatches += MProf;
-    }
-    std::printf("    {\"rules\": %zu, \"matches\": %llu, "
-                "\"traversals\": %llu, \"cold_discovery_seconds\": %.6f, "
-                "\"profiled_discovery_seconds\": %.6f, \"speedup\": %.3f}%s\n",
-                K, (unsigned long long)ColdMatches,
-                (unsigned long long)Traversals, ColdDiscovery, ProfDiscovery,
-                ProfDiscovery > 0 ? ColdDiscovery / ProfDiscovery : 0.0,
-                K == NumEntries ? "" : ",");
-    (void)ProfMatches;
-  }
-  std::printf("  ]\n}\n");
-  return 0;
-}
-
-/// `--incremental-sweep`: the two amortization modes against their cold
-/// baselines (BENCH_incremental_sweep.json). Leg one re-runs the full
-/// rewrite pipeline to fixpoint per zoo model — a commit-heavy workload
-/// where every pass after a commit re-discovers the whole graph — with
-/// RewriteOptions::Incremental on and off; the memo replays fruitless
-/// visits outside the dirty region, so the incremental discovery time
-/// must come in under the full rescan. Leg two repeats the
-/// `--ruleset-sweep` rule-prefix ladder with the plan matcher against
-/// itself, RewriteOptions::Batch on vs off: one frontier sweep computing
-/// every candidate mask vs the per-root tree walk. Both legs time DiscoverySeconds best-of-R on fresh graphs
-/// and assert the modes' match/fire counts against their baselines as
-/// they are timed — the differential suite's bit-identity claim,
-/// re-checked where the numbers come from. `--smoke` shrinks the zoo,
-/// the ladder, and the repeat count to a CI-sized run.
-int runIncrementalSweep(bool Smoke) {
+/// `--batch-sweep`: RewriteOptions::Batch against per-root discovery
+/// (BENCH_batch_sweep.json). Repeats the `--ruleset-sweep` rule-prefix
+/// ladder with the plan matcher against itself, Batch on vs off: one
+/// frontier sweep computing every candidate mask vs the per-root tree
+/// walk. Times DiscoverySeconds best-of-R on fresh graphs and asserts the
+/// match counts equal as they are timed — the differential suite's
+/// bit-identity claim, re-checked where the numbers come from. A
+/// discovery-layer floor, not an end-to-end figure. `--smoke` shrinks the
+/// zoo and the repeat count to a CI-sized run.
+int runBatchSweep(bool Smoke) {
   std::vector<models::ModelEntry> Zoo;
   {
     auto Hf = models::hfSuite();
@@ -329,80 +211,6 @@ int runIncrementalSweep(bool Smoke) {
               "  \"smoke\": %s,\n",
               Zoo.size(), Repeats, Smoke ? "true" : "false");
 
-  // Leg one: commit-heavy fixpoint, full rescan vs incremental. The
-  // pipeline additionally loads the μ-recursive unary-chain library, and
-  // the run uses RootsFirst traversal: rewrites fire at the roots first,
-  // so operand-side opportunities they expose land one pass later and
-  // the fixpoint takes many passes — each of which the baseline re-scans
-  // in full while the incremental engine re-discovers only the dirty
-  // region and replays everything else from the memo. The leg runs the
-  // reference machine deliberately: it is the engine whose rescan passes
-  // pay a real match attempt per candidate node, i.e. the work the memo
-  // elides. (Under the plan matcher the discrimination tree already
-  // prunes clean nodes to a near-free mask lookup, so there a memo
-  // replay roughly breaks even with the rescan it replaces — the plan
-  // side's amortization win is leg two's batching.)
-  auto RunFixpoint = [](const models::ModelEntry &Model,
-                        const rewrite::RewriteOptions &Opts) {
-    term::Signature Sig;
-    auto G = Model.Build(Sig);
-    opt::Pipeline Pipe = opt::makePipeline(Sig, opt::OptConfig::Both);
-    Pipe.Libs.push_back(opt::compileUnaryChain(Sig));
-    Pipe.Rules.addLibrary(*Pipe.Libs.back());
-    return rewrite::rewriteToFixpoint(*G, Pipe.Rules,
-                                      graph::ShapeInference(), Opts);
-  };
-  std::printf("  \"incremental\": [\n");
-  double FullSum = 0, IncSum = 0;
-  for (size_t MI = 0; MI != Zoo.size(); ++MI) {
-    const models::ModelEntry &Model = Zoo[MI];
-    rewrite::RewriteOptions Full;
-    Full.Matcher = rewrite::MatcherKind::Machine;
-    Full.Order = rewrite::Traversal::RootsFirst;
-    rewrite::RewriteOptions Inc = Full;
-    Inc.Incremental = true;
-
-    double BestFull = 0, BestInc = 0;
-    uint64_t Fired = 0, Passes = 0, MemoHits = 0;
-    for (int Rep = 0; Rep != Repeats; ++Rep) {
-      rewrite::RewriteStats F = RunFixpoint(Model, Full);
-      rewrite::RewriteStats N = RunFixpoint(Model, Inc);
-      if (F.TotalFired != N.TotalFired || F.Passes != N.Passes) {
-        std::fprintf(stderr,
-                     "incremental-sweep: divergence on %s (fired %llu vs "
-                     "%llu, passes %llu vs %llu)\n",
-                     Model.Name.c_str(), (unsigned long long)F.TotalFired,
-                     (unsigned long long)N.TotalFired,
-                     (unsigned long long)F.Passes,
-                     (unsigned long long)N.Passes);
-        return 1;
-      }
-      if (Rep == 0 || F.DiscoverySeconds < BestFull)
-        BestFull = F.DiscoverySeconds;
-      if (Rep == 0 || N.DiscoverySeconds < BestInc)
-        BestInc = N.DiscoverySeconds;
-      Fired = N.TotalFired;
-      Passes = N.Passes;
-      MemoHits = N.MemoHits;
-    }
-    FullSum += BestFull;
-    IncSum += BestInc;
-    std::printf("    {\"model\": \"%s\", \"passes\": %llu, \"fired\": %llu, "
-                "\"memo_hits\": %llu, \"full_discovery_seconds\": %.6f, "
-                "\"incremental_discovery_seconds\": %.6f, "
-                "\"speedup\": %.3f}%s\n",
-                Model.Name.c_str(), (unsigned long long)Passes,
-                (unsigned long long)Fired, (unsigned long long)MemoHits,
-                BestFull, BestInc, BestInc > 0 ? BestFull / BestInc : 0.0,
-                MI + 1 == Zoo.size() ? "" : ",");
-  }
-  std::printf("  ],\n  \"incremental_total\": {"
-              "\"full_discovery_seconds\": %.6f, "
-              "\"incremental_discovery_seconds\": %.6f, "
-              "\"speedup\": %.3f},\n",
-              FullSum, IncSum, IncSum > 0 ? FullSum / IncSum : 0.0);
-
-  // Leg two: batched vs per-root plan discovery across the rule ladder.
   size_t NumEntries = 0;
   {
     term::Signature Sig;
@@ -455,7 +263,7 @@ int runIncrementalSweep(bool Smoke) {
       }
       if (MPer != MBat) {
         std::fprintf(stderr,
-                     "incremental-sweep: batch divergence (rules=%zu, "
+                     "batch-sweep: divergence (rules=%zu, "
                      "model=%s, per-root=%llu, batched=%llu)\n",
                      K, Model.Name.c_str(), (unsigned long long)MPer,
                      (unsigned long long)MBat);
@@ -1035,10 +843,8 @@ int main(int argc, char **argv) {
       return runThreadsSweep();
     if (std::string_view(argv[I]) == "--ruleset-sweep")
       return runRulesetSweep();
-    if (std::string_view(argv[I]) == "--profiled-sweep")
-      return runProfiledSweep();
-    if (std::string_view(argv[I]) == "--incremental-sweep")
-      return runIncrementalSweep(Smoke);
+    if (std::string_view(argv[I]) == "--batch-sweep")
+      return runBatchSweep(Smoke);
     if (std::string_view(argv[I]) == "--daemon-sweep")
       return runDaemonSweep(Smoke);
     if (std::string_view(argv[I]) == "--search-sweep")

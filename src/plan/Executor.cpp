@@ -311,15 +311,7 @@ MachineStatus Executor::matchEntry(size_t EntryIdx, term::TermRef T) {
   assert(EntryIdx < Prog.Entries.size() && "entry index out of range");
   St.resetAttempt(Opts.MaxMuUnfolds);
   St.Cont = St.consMatch(Prog.Entries[EntryIdx].RootPC, T, nullptr);
-  // Profiling is observation-only: counters after the run, never a branch
-  // inside it. Only the first terminal counts as the attempt's outcome;
-  // resume() continuations are part of the same attempt.
-  if (Prof)
-    Prof->noteAttempt(EntryIdx);
-  MachineStatus S = runLoop();
-  if (Prof && S == MachineStatus::Success)
-    Prof->noteMatch(EntryIdx);
-  return S;
+  return runLoop();
 }
 
 MachineStatus Executor::resume() {
@@ -350,8 +342,7 @@ MatchResult Executor::matchOne(size_t EntryIdx, term::TermRef T) {
 
 MatchResult Executor::run(const Program &Prog, size_t EntryIdx,
                           term::TermRef T, const term::TermArena &Arena,
-                          Machine::Options Opts, Profile *Prof) {
+                          Machine::Options Opts) {
   Executor M(Prog, Arena, Opts);
-  M.setProfile(Prof);
   return M.matchOne(EntryIdx, T);
 }

@@ -34,7 +34,6 @@
 #define PYPM_PLAN_EXECUTOR_H
 
 #include "plan/ExecState.h"
-#include "plan/Profile.h"
 
 namespace pypm::plan {
 
@@ -47,14 +46,6 @@ public:
       : Prog(Prog), Arena(Arena), Opts(Opts) {
     assert(Prog.Stream.size() == Prog.Code.size() && "program not decoded");
   }
-
-  /// Profiling mode: when set, matchEntry() records one committed attempt
-  /// (and, on success, one match) per call into the profile's per-entry
-  /// counters. Observation only — no step, counter, or witness changes.
-  /// The caller owns the profile and its thread-safety: the engine arms
-  /// this on committed-order runs only, never on speculative discovery
-  /// workers (see DESIGN.md §"Profile-guided ordering").
-  void setProfile(Profile *P) { Prof = P; }
 
   /// Matches entry \p EntryIdx of the program against \p T from the empty
   /// substitution; returns the terminal status.
@@ -71,14 +62,11 @@ public:
   match::Witness witness() const { return St.witness(); }
   const match::MachineStats &stats() const { return St.Stats; }
 
-  /// One-call convenience: a fresh executor, one attempt. \p Prof, when
-  /// non-null, receives the per-entry attempt/match counters of this one
-  /// call (profiling mode; see setProfile).
+  /// One-call convenience: a fresh executor, one attempt.
   static match::MatchResult
   run(const Program &Prog, size_t EntryIdx, term::TermRef T,
       const term::TermArena &Arena,
-      match::Machine::Options Opts = match::Machine::Options(),
-      Profile *Prof = nullptr);
+      match::Machine::Options Opts = match::Machine::Options());
 
 private:
   match::MachineStatus runLoop();
@@ -86,7 +74,6 @@ private:
   const Program &Prog;
   const term::TermArena &Arena;
   match::Machine::Options Opts;
-  Profile *Prof = nullptr;
   ExecState St;
 };
 

@@ -2,8 +2,6 @@
 
 #include "plan/PlanBuilder.h"
 
-#include "plan/Profile.h"
-#include "support/Hash.h"
 
 #include <algorithm>
 #include <cassert>
@@ -350,7 +348,6 @@ struct TreeInserter {
         TreeGroup G;
         G.PathBegin = internPath(C.Path);
         G.PathLen = static_cast<uint32_t>(C.Path.size());
-        G.Id = P.NumGroups++; // canonical id: creation order
         P.Tree[Node].Groups.push_back(std::move(G));
       }
       // Find or create the edge for C.Value.
@@ -369,7 +366,7 @@ struct TreeInserter {
         P.Tree.emplace_back();
         TreeGroup &G = P.Tree[Node].Groups[GIdx];
         (C.IsArity ? G.ArityEdges : G.OpEdges)
-            .push_back(TreeEdge{C.Value, Next, P.NumEdges++});
+            .push_back(TreeEdge{C.Value, Next});
       }
       Node = Next;
     }
@@ -388,9 +385,6 @@ void PlanBuilder::buildTree(Program &P, const rewrite::RuleSet &Rules,
   P.PathPool.clear();
   P.Wildcards.clear();
   P.WildcardBase.clear();
-  P.NumGroups = 0;
-  P.NumEdges = 0;
-  P.ProfileApplied = false;
   P.Tree.emplace_back(); // root
   TreeInserter Ins(P);
 
@@ -437,115 +431,6 @@ void PlanBuilder::buildTree(Program &P, const rewrite::RuleSet &Rules,
   P.WildcardBase.assign(P.Entries.size(), 0);
   for (uint32_t W : P.Wildcards)
     P.WildcardBase[W] = 1;
-
-  P.CanonicalSig = signature(P);
-}
-
-/// Strips the `$<n>` suffixes Symbol::fresh appends (possibly stacked:
-/// "lit$7" freshened again by pattern instantiation becomes "lit$7$12").
-/// The counter behind them is process-global, so the raw spellings differ
-/// on every recompile of the very same rule set; the fingerprint must be
-/// α-invariant over generated names or no profile would ever rebind.
-static std::string_view stripFreshSuffixes(std::string_view S) {
-  for (;;) {
-    size_t Dollar = S.rfind('$');
-    if (Dollar == std::string_view::npos || Dollar + 1 == S.size())
-      return S;
-    for (size_t I = Dollar + 1; I != S.size(); ++I)
-      if (S[I] < '0' || S[I] > '9')
-        return S;
-    S = S.substr(0, Dollar);
-  }
-}
-
-uint64_t PlanBuilder::signature(const Program &P) {
-  Fnv1aHash H;
-  H.u32(static_cast<uint32_t>(P.Entries.size()));
-  for (const EntryCode &E : P.Entries) {
-    H.str(stripFreshSuffixes(E.PatternName.str()));
-    H.u32(E.RootPC);
-    H.u32(E.FirstPC);
-    H.u32(E.NumInstrs);
-    H.u32(E.NumShapes);
-  }
-  H.u32(static_cast<uint32_t>(P.Syms.size()));
-  for (Symbol S : P.Syms)
-    H.str(stripFreshSuffixes(S.str()));
-  H.u32(static_cast<uint32_t>(P.Guards.size()));
-  H.u32(static_cast<uint32_t>(P.Mus.size()));
-  H.u32(static_cast<uint32_t>(P.Code.size()));
-  for (const Instr &I : P.Code) {
-    H.byte(static_cast<uint8_t>(I.Op));
-    // MatchApp's A is an operator id — signature-relative, excluded exactly
-    // like the .pypmplan stream comparison exempts it, so the fingerprint
-    // survives operator renumbering between processes.
-    H.u32(I.Op == OpCode::MatchApp ? 0 : I.A);
-    H.u32(I.B);
-    H.u32(I.C);
-    H.u32(I.FirstChild);
-    H.u32(I.NumChildren);
-  }
-  H.u32(static_cast<uint32_t>(P.ChildPCs.size()));
-  for (uint32_t C : P.ChildPCs)
-    H.u32(C);
-  // Tree aggregate shape only: edge keys are operator ids (excluded for
-  // the same reason) and list orderings are exactly what applyProfile
-  // permutes, so the signature hashes the permutation-invariant skeleton.
-  H.u32(P.NumGroups);
-  H.u32(P.NumEdges);
-  std::vector<uint32_t> SortedWild(P.Wildcards);
-  std::sort(SortedWild.begin(), SortedWild.end());
-  H.u32(static_cast<uint32_t>(SortedWild.size()));
-  for (uint32_t W : SortedWild)
-    H.u32(W);
-  return H.value();
-}
-
-bool PlanBuilder::applyProfile(Program &P, const Profile &Prof) {
-  if (!Prof.boundTo(P))
-    return false;
-  for (TreeNode &N : P.Tree) {
-    // Hot entries first in the accept list (pure layout: the mask is
-    // positional, so emission order cannot reach the attempt loop).
-    std::stable_sort(N.Accept.begin(), N.Accept.end(),
-                     [&](uint32_t A, uint32_t B) {
-                       if (Prof.EntryMatches[A] != Prof.EntryMatches[B])
-                         return Prof.EntryMatches[A] > Prof.EntryMatches[B];
-                       return Prof.EntryAttempts[A] > Prof.EntryAttempts[B];
-                     });
-    auto EdgeHeat = [&](const TreeEdge &E) { return Prof.EdgeHits[E.Id]; };
-    for (TreeGroup &G : N.Groups) {
-      std::stable_sort(G.OpEdges.begin(), G.OpEdges.end(),
-                       [&](const TreeEdge &A, const TreeEdge &B) {
-                         return EdgeHeat(A) > EdgeHeat(B);
-                       });
-      std::stable_sort(G.ArityEdges.begin(), G.ArityEdges.end(),
-                       [&](const TreeEdge &A, const TreeEdge &B) {
-                         return EdgeHeat(A) > EdgeHeat(B);
-                       });
-    }
-    // Groups that extend the traversal most often first. (Every group of a
-    // visited node is scanned either way; this is cache layout, not a
-    // skip.)
-    auto GroupHeat = [&](const TreeGroup &G) {
-      uint64_t Heat = 0;
-      for (const TreeEdge &E : G.OpEdges)
-        Heat += EdgeHeat(E);
-      for (const TreeEdge &E : G.ArityEdges)
-        Heat += EdgeHeat(E);
-      return Heat;
-    };
-    std::stable_sort(N.Groups.begin(), N.Groups.end(),
-                     [&](const TreeGroup &A, const TreeGroup &B) {
-                       return GroupHeat(A) > GroupHeat(B);
-                     });
-  }
-  // Never-hit wildcard entries sink to the cold tail. The *set* is
-  // untouched (WildcardBase is identical), so the mask cannot change.
-  std::stable_partition(P.Wildcards.begin(), P.Wildcards.end(),
-                        [&](uint32_t W) { return Prof.EntryMatches[W] > 0; });
-  P.ProfileApplied = true;
-  return true;
 }
 
 Program PlanBuilder::compile(const rewrite::RuleSet &Rules,

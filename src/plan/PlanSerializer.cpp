@@ -13,10 +13,10 @@ using namespace pypm::plan;
 
 namespace {
 
-// v3: appends the optional embedded confluence certificate (v2 added the
-// embedded-profile section; older artifacts are rejected with a clean
-// version error).
-constexpr uint32_t kPlanVersion = 3;
+// v4: drops v2's embedded-profile section (v3 appended the optional
+// confluence certificate); older artifacts are rejected with a clean
+// version error.
+constexpr uint32_t kPlanVersion = 4;
 
 void appendU32(std::string &Out, uint32_t V) {
   char Buf[4];
@@ -43,7 +43,7 @@ rewrite::RuleSet planRules(const pattern::Library &Lib, bool RulesOnly) {
 
 std::string pypm::plan::serializePlan(
     const pattern::Library &Lib, const term::Signature &Sig, bool RulesOnly,
-    DiagnosticEngine &Diags, const Profile *Prof,
+    DiagnosticEngine &Diags,
     const analysis::critical::ConfluenceReport *Confluence) {
   std::string LibBytes = pattern::serializeLibrary(Lib, Sig);
 
@@ -60,17 +60,6 @@ std::string pypm::plan::serializePlan(
   }
   rewrite::RuleSet RS = planRules(*RtLib, RulesOnly);
   Program P = PlanBuilder::compile(RS, ScratchSig);
-
-  // An embedded profile must bind to the plan the loader will recompile
-  // (which is exactly P, thanks to the round-trip above). The canonical
-  // signature is operator-id independent, so a profile recorded in a
-  // process with a different signature layout still binds — but one
-  // recorded against any other rule set is rejected here, not at load.
-  if (Prof && !Prof->boundTo(P)) {
-    Diags.error(SourceLoc(), "match plan: profile does not match this plan "
-                             "(recorded against a different rule set?)");
-    return std::string();
-  }
 
   std::string Out;
   Out += "PYPL";
@@ -106,13 +95,6 @@ std::string pypm::plan::serializePlan(
   appendU32(Out, static_cast<uint32_t>(P.ChildPCs.size()));
   for (uint32_t C : P.ChildPCs)
     appendU32(Out, C);
-
-  Out.push_back(Prof ? char(1) : char(0));
-  if (Prof) {
-    std::string ProfBytes = serializeProfile(*Prof);
-    appendU32(Out, static_cast<uint32_t>(ProfBytes.size()));
-    Out += ProfBytes;
-  }
 
   Out.push_back(Confluence ? char(1) : char(0));
   if (Confluence) {
@@ -232,22 +214,6 @@ public:
       P.ChildPCs.push_back(C);
     }
 
-    uint8_t HasProfile;
-    if (!readU8(HasProfile))
-      return nullptr;
-    if (HasProfile > 1)
-      return fail("bad profile-presence flag");
-    std::string_view ProfBytes;
-    if (HasProfile) {
-      uint32_t ProfLen;
-      if (!readU32(ProfLen))
-        return nullptr;
-      if (ProfLen > Bytes.size() - Pos)
-        return fail("truncated embedded match profile");
-      ProfBytes = Bytes.substr(Pos, ProfLen);
-      Pos += ProfLen;
-    }
-
     uint8_t HasConfluence;
     if (!readU8(HasConfluence))
       return nullptr;
@@ -288,23 +254,6 @@ public:
     if (!streamsAgree(P, Fresh, NumGuards, NumMus))
       return fail("plan streams disagree with embedded library "
                   "(corrupt or inconsistent artifact)");
-
-    // The embedded profile (if any) passes its own hardening gates, then
-    // must bind to the *recompiled* plan; the ordering is re-derived by
-    // applyProfile rather than trusted from the artifact. applyProfile
-    // only permutes edge/group/accept/wildcard layout — the candidate set
-    // is positional — so a valid profile cannot change match semantics,
-    // and an invalid one rejects the artifact.
-    if (HasProfile) {
-      Plan->Prof = deserializeProfile(ProfBytes, Diags);
-      if (!Plan->Prof) {
-        Failed = true; // deserializeProfile already emitted the diagnostic
-        return nullptr;
-      }
-      if (!PlanBuilder::applyProfile(Fresh, *Plan->Prof))
-        return fail("embedded profile does not match the plan "
-                    "(corrupt or inconsistent artifact)");
-    }
 
     // The embedded certificate is self-hardened (own magic/version/bounds
     // gates); a blob that fails them rejects the artifact rather than

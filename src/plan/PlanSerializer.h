@@ -6,7 +6,7 @@
 /// the compiled streams: the entry table, the symbol table, and the
 /// instruction/child-PC arrays.
 ///
-/// Layout (v3, little-endian):
+/// Layout (v4, little-endian):
 ///   magic "PYPL", u32 version
 ///   u32 libLen, libLen bytes of embedded .pypmbin
 ///   entries:  u32 count, per entry: name (u32 len + bytes),
@@ -17,8 +17,6 @@
 ///   code:     u32 count, per instr: u8 opcode, u32 A/B/C/firstChild/
 ///             numChildren
 ///   childPCs: u32 count, u32 each
-///   profile:  u8 hasProfile; if 1: u32 profLen, profLen bytes of a
-///             .pypmprof artifact (v2; optional profile-guided ordering)
 ///   confluence: u8 hasConfluence; if 1: u32 confLen, confLen bytes of a
 ///             confluence certificate (v3; analysis/CriticalPairs.h codec,
 ///             self-contained magic/version/bounds hardening) — cached
@@ -33,12 +31,8 @@
 /// to the engine is the recompiled one, so a byte-wise plausible but
 /// inconsistent artifact is rejected rather than executed.
 ///
-/// The discrimination tree is still never serialized: an embedded profile
-/// rides along as opaque (checksummed, signature-bound) counters, and the
-/// loader re-derives the ordering by running PlanBuilder::applyProfile on
-/// the recompiled program. A profile that fails its own hardening gates or
-/// does not bind to the recompiled plan rejects the artifact — it cannot
-/// smuggle in a wrong or misordered tree.
+/// The discrimination tree is never serialized: the loader rebuilds it from
+/// the embedded library, so an artifact cannot smuggle in a wrong one.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,7 +40,6 @@
 #define PYPM_PLAN_PLANSERIALIZER_H
 
 #include "analysis/CriticalPairs.h"
-#include "plan/Profile.h"
 #include "plan/Program.h"
 #include "rewrite/Rule.h"
 #include "support/Diagnostics.h"
@@ -62,27 +55,22 @@ namespace pypm::plan {
 /// mirrors RuleSet::addLibrary (skip match-only patterns). Internally
 /// round-trips the library through its binary form first, so the emitted
 /// streams are exactly what the loader's recompilation will produce.
-/// When \p Prof is non-null it is embedded for profile-guided ordering;
-/// it must bind to the compiled plan (signature check) or serialization
-/// fails. When \p Confluence is non-null its certificate is embedded so
+/// When \p Confluence is non-null its certificate is embedded so
 /// loaded plans can answer `--search=auto` without re-analysis. Returns
 /// the empty string and emits a diagnostic on failure.
 std::string serializePlan(const pattern::Library &Lib,
                           const term::Signature &Sig, bool RulesOnly,
                           DiagnosticEngine &Diags,
-                          const Profile *Prof = nullptr,
                           const analysis::critical::ConfluenceReport
                               *Confluence = nullptr);
 
 /// A deserialized plan: the embedded library, the rule set reconstructed
-/// from the entry table, and the (recompiled, validated) program — with
-/// the embedded profile (if any) already applied to Prog. Rules and Prog
-/// borrow Lib; keep the struct alive while they are in use.
+/// from the entry table, and the (recompiled, validated) program. Rules and
+/// Prog borrow Lib; keep the struct alive while they are in use.
 struct LoadedPlan {
   std::unique_ptr<pattern::Library> Lib;
   rewrite::RuleSet Rules;
   Program Prog;
-  std::unique_ptr<Profile> Prof; ///< embedded profile, when present
   /// Embedded confluence certificate, when present (v3).
   std::unique_ptr<analysis::critical::ConfluenceReport> Confluence;
 };

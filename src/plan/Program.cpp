@@ -2,8 +2,6 @@
 
 #include "plan/Program.h"
 
-#include "plan/Profile.h"
-
 #include <sstream>
 
 namespace pypm::plan {
@@ -30,14 +28,11 @@ struct TermAdapter {
 
 template <typename Adapter>
 void visitTree(const Program &P, const Adapter &A, typename Adapter::Node Root,
-               uint32_t NodeIdx, std::vector<uint8_t> &Mask,
-               TraversalTrace *Trace) {
+               uint32_t NodeIdx, std::vector<uint8_t> &Mask) {
   const TreeNode &TN = P.Tree[NodeIdx];
   for (uint32_t E : TN.Accept)
     Mask[E] = 1;
   for (const TreeGroup &Gp : TN.Groups) {
-    if (Trace)
-      Trace->Groups.push_back(Gp.Id);
     // Resolve the tested position; ancestors were constrained on the way
     // down, so this only fails defensively.
     typename Adapter::Node Cur = Root;
@@ -54,20 +49,15 @@ void visitTree(const Program &P, const Adapter &A, typename Adapter::Node Root,
       continue;
     uint32_t Op = A.op(Cur), Ar = A.arity(Cur);
     // Keys are unique per list, so the first hit is the only hit: stop
-    // scanning. Profile-guided ordering puts hot keys first, which makes
-    // this break the payoff (cold keys are never compared on hot paths).
+    // scanning.
     for (const TreeEdge &E : Gp.OpEdges)
       if (E.Key == Op) {
-        if (Trace)
-          Trace->Edges.push_back(E.Id);
-        visitTree(P, A, Root, E.Child, Mask, Trace);
+        visitTree(P, A, Root, E.Child, Mask);
         break;
       }
     for (const TreeEdge &E : Gp.ArityEdges)
       if (E.Key == Ar) {
-        if (Trace)
-          Trace->Edges.push_back(E.Id);
-        visitTree(P, A, Root, E.Child, Mask, Trace);
+        visitTree(P, A, Root, E.Child, Mask);
         break;
       }
   }
@@ -75,10 +65,7 @@ void visitTree(const Program &P, const Adapter &A, typename Adapter::Node Root,
 
 template <typename Adapter>
 void candidatesImpl(const Program &P, const Adapter &A,
-                    typename Adapter::Node Root, std::vector<uint8_t> &Mask,
-                    TraversalTrace *Trace) {
-  if (Trace)
-    Trace->clear();
+                    typename Adapter::Node Root, std::vector<uint8_t> &Mask) {
   // The wildcard bits are hoisted out of the per-node work entirely: one
   // bulk copy of the precomputed base mask (empty-tree programs and
   // hand-assembled Programs without a base fall back to the loop).
@@ -90,7 +77,7 @@ void candidatesImpl(const Program &P, const Adapter &A,
       Mask[W] = 1;
   }
   if (!P.Tree.empty())
-    visitTree(P, A, Root, 0, Mask, Trace);
+    visitTree(P, A, Root, 0, Mask);
 }
 
 /// The batched frontier sweep behind Program::batchCandidates. NodeRoots
@@ -103,16 +90,10 @@ void candidatesImpl(const Program &P, const Adapter &A,
 template <typename Adapter>
 void batchCandidatesImpl(const Program &P, const Adapter &A,
                          std::span<const typename Adapter::Node> Roots,
-                         std::vector<uint8_t> &Masks,
-                         std::vector<TraversalTrace> *Traces) {
+                         std::vector<uint8_t> &Masks) {
   const size_t E = P.Entries.size();
   const size_t NR = Roots.size();
   Masks.assign(NR * E, 0);
-  if (Traces) {
-    Traces->resize(NR);
-    for (TraversalTrace &T : *Traces)
-      T.clear();
-  }
   if (P.WildcardBase.size() == E) {
     for (size_t R = 0; R != NR; ++R)
       std::copy(P.WildcardBase.begin(), P.WildcardBase.end(),
@@ -139,8 +120,6 @@ void batchCandidatesImpl(const Program &P, const Adapter &A,
         Masks[size_t(R) * E + EIdx] = 1;
     for (const TreeGroup &Gp : TN.Groups) {
       for (uint32_t R : Here) {
-        if (Traces)
-          (*Traces)[R].Groups.push_back(Gp.Id);
         typename Adapter::Node Cur = Roots[R];
         bool Ok = true;
         for (uint32_t I = 0; I < Gp.PathLen; ++I) {
@@ -156,8 +135,6 @@ void batchCandidatesImpl(const Program &P, const Adapter &A,
         uint32_t Op = A.op(Cur), Ar = A.arity(Cur);
         for (const TreeEdge &TE : Gp.OpEdges)
           if (TE.Key == Op) {
-            if (Traces)
-              (*Traces)[R].Edges.push_back(TE.Id);
             if (NodeRoots[TE.Child].empty())
               Frontier.push_back(TE.Child);
             NodeRoots[TE.Child].push_back(R);
@@ -165,8 +142,6 @@ void batchCandidatesImpl(const Program &P, const Adapter &A,
           }
         for (const TreeEdge &TE : Gp.ArityEdges)
           if (TE.Key == Ar) {
-            if (Traces)
-              (*Traces)[R].Edges.push_back(TE.Id);
             if (NodeRoots[TE.Child].empty())
               Frontier.push_back(TE.Child);
             NodeRoots[TE.Child].push_back(R);
@@ -181,26 +156,22 @@ void batchCandidatesImpl(const Program &P, const Adapter &A,
 
 void Program::batchCandidates(const graph::Graph &G,
                               std::span<const graph::NodeId> Roots,
-                              std::vector<uint8_t> &Masks,
-                              std::vector<TraversalTrace> *Traces) const {
-  batchCandidatesImpl(*this, GraphAdapter{G}, Roots, Masks, Traces);
+                              std::vector<uint8_t> &Masks) const {
+  batchCandidatesImpl(*this, GraphAdapter{G}, Roots, Masks);
 }
 
 void Program::batchCandidates(std::span<const term::TermRef> Roots,
-                              std::vector<uint8_t> &Masks,
-                              std::vector<TraversalTrace> *Traces) const {
-  batchCandidatesImpl(*this, TermAdapter{}, Roots, Masks, Traces);
+                              std::vector<uint8_t> &Masks) const {
+  batchCandidatesImpl(*this, TermAdapter{}, Roots, Masks);
 }
 
 void Program::candidates(const graph::Graph &G, graph::NodeId N,
-                         std::vector<uint8_t> &Mask,
-                         TraversalTrace *Trace) const {
-  candidatesImpl(*this, GraphAdapter{G}, N, Mask, Trace);
+                         std::vector<uint8_t> &Mask) const {
+  candidatesImpl(*this, GraphAdapter{G}, N, Mask);
 }
 
-void Program::candidates(term::TermRef T, std::vector<uint8_t> &Mask,
-                         TraversalTrace *Trace) const {
-  candidatesImpl(*this, TermAdapter{}, T, Mask, Trace);
+void Program::candidates(term::TermRef T, std::vector<uint8_t> &Mask) const {
+  candidatesImpl(*this, TermAdapter{}, T, Mask);
 }
 
 ProgramInfo Program::info() const {
@@ -278,8 +249,7 @@ std::string Program::disassemble(const term::Signature &Sig) const {
   OS << "matchplan: " << Entries.size() << " entries, " << PI.Instrs
      << " instrs, " << PI.Shapes << " shapes, " << PI.TreeNodes
      << " tree nodes, " << PI.TreeEdges << " tree edges, "
-     << PI.WildcardEntries << " wildcard entries"
-     << (ProfileApplied ? ", profile-ordered" : "") << "\n";
+     << PI.WildcardEntries << " wildcard entries\n";
   OS << "\ndiscrimination tree:\n";
   if (Tree.empty())
     OS << "  <empty>\n";

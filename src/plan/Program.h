@@ -113,14 +113,10 @@ struct EntryCode {
 /// A discrimination-tree edge: take it when the tested value (operator id
 /// or arity) equals Key. Keys are unique within each edge list of a group
 /// (TreeInserter finds-or-creates by key), so at most one edge per list
-/// can hit for a given subterm — the traversal may stop at the first hit,
-/// and reordering a list never changes which edge hits.
+/// can hit for a given subterm — the traversal may stop at the first hit.
 struct TreeEdge {
   uint32_t Key = 0;
   uint32_t Child = 0;
-  /// Canonical id, assigned in build order and stable under profile-driven
-  /// permutation: the index into Profile::EdgeHits.
-  uint32_t Id = 0;
 };
 
 /// All edges of one tree node that test the *same* subterm position: the
@@ -130,9 +126,6 @@ struct TreeGroup {
   uint32_t PathLen = 0;
   std::vector<TreeEdge> OpEdges;    ///< subterm operator == Key
   std::vector<TreeEdge> ArityEdges; ///< subterm arity == Key
-  /// Canonical id (build order, permutation-stable): the index into
-  /// Profile::GroupVisits.
-  uint32_t Id = 0;
 };
 
 /// A discrimination-tree node: entries whose shape is fully tested here,
@@ -165,8 +158,8 @@ struct Program {
 
   /// Code pre-decoded for plan::Executor (same length, same PCs). Filled
   /// by decode(), which PlanBuilder::compile runs once; the .pypmplan
-  /// loader hands out a compiled Program and applyProfile permutes only
-  /// the tree, so every Program a caller receives is already decoded.
+  /// loader hands out a compiled Program, so every Program a caller
+  /// receives is already decoded.
   std::vector<DecodedInstr> Stream;
 
   // Discrimination tree (never serialized: deterministically rebuilt from
@@ -177,21 +170,9 @@ struct Program {
 
   /// Precomputed base mask with exactly the Wildcards bits set: the
   /// traversal starts from one bulk copy instead of re-running the
-  /// per-node wildcard loop (the "hoisted cold tail" of profile-guided
-  /// ordering — wildcard entries never participate in the hot tree walk).
+  /// per-node wildcard loop (wildcard entries never participate in the
+  /// tree walk).
   std::vector<uint8_t> WildcardBase;
-
-  /// Canonical group/edge counts (== the id spaces of Profile's counter
-  /// arrays). Assigned by PlanBuilder in build order.
-  uint32_t NumGroups = 0;
-  uint32_t NumEdges = 0;
-
-  /// Operator-id-independent fingerprint of the compiled plan
-  /// (PlanBuilder::signature): binds a Profile to this plan.
-  uint64_t CanonicalSig = 0;
-
-  /// True once PlanBuilder::applyProfile reordered this plan.
-  bool ProfileApplied = false;
 
   size_t numEntries() const { return Entries.size(); }
 
@@ -202,17 +183,12 @@ struct Program {
   /// One traversal of the discrimination tree at graph node \p N: sets
   /// Mask[I] = 1 for every entry I that can possibly match the tree
   /// unrolling rooted at N (and 0 for every entry that provably cannot).
-  /// Mask is resized to numEntries(). When \p Trace is non-null the
-  /// traversal additionally records the canonical ids of every group it
-  /// scanned and every edge whose key test hit (profiling mode — the
-  /// result mask is identical either way).
+  /// Mask is resized to numEntries().
   void candidates(const graph::Graph &G, graph::NodeId N,
-                  std::vector<uint8_t> &Mask,
-                  TraversalTrace *Trace = nullptr) const;
+                  std::vector<uint8_t> &Mask) const;
 
   /// Same prefilter over an explicit term (tests and the CLI).
-  void candidates(term::TermRef T, std::vector<uint8_t> &Mask,
-                  TraversalTrace *Trace = nullptr) const;
+  void candidates(term::TermRef T, std::vector<uint8_t> &Mask) const;
 
   /// Batched prefilter: one cache-friendly frontier sweep of the
   /// discrimination tree computes candidates() for *every* root in
@@ -227,19 +203,14 @@ struct Program {
   /// \p Masks is resized to Roots.size() * numEntries(); row I (stride
   /// numEntries()) is byte-for-byte what candidates(Roots[I]) would
   /// produce — the survival tests are identical, only their schedule
-  /// differs. \p Traces, when non-null, is resized alongside and receives
-  /// per-root traces covering the same group/edge *sets* as the per-root
-  /// walk (frontier order, not depth-first order — Profile::addTrace sums
-  /// counters, so recorded profiles are identical either way).
+  /// differs.
   void batchCandidates(const graph::Graph &G,
                        std::span<const graph::NodeId> Roots,
-                       std::vector<uint8_t> &Masks,
-                       std::vector<TraversalTrace> *Traces = nullptr) const;
+                       std::vector<uint8_t> &Masks) const;
 
   /// Term-batch overload (tests and term-level batch matching).
   void batchCandidates(std::span<const term::TermRef> Roots,
-                       std::vector<uint8_t> &Masks,
-                       std::vector<TraversalTrace> *Traces = nullptr) const;
+                       std::vector<uint8_t> &Masks) const;
 
   ProgramInfo info() const;
 

@@ -1,21 +1,21 @@
 //===- rewrite/RewriteEngine.cpp - Greedy fixpoint rewriting ------------------===//
 //
-// Two execution strategies share one Engine:
+// One pass loop (§2.4): visit nodes in canonical order, try patterns in
+// order, fire the first passing rule. Each pass has two phases:
 //
-//  - NumThreads == 0: the serial legacy loop — visit nodes in canonical
-//    order, try patterns in order, fire the first passing rule (§2.4).
-//
-//  - NumThreads >= 1: per pass, match *discovery* fans out over a
+//  - discovery, only when NumThreads >= 1: match attempts fan out over a
 //    work-stealing pool. Workers only read a frozen snapshot of the graph
 //    (each with a private TermArena + memoized TermView), recording per
-//    (node, pattern) outcomes. The commit phase then replays the serial
-//    traversal: at a node untouched by earlier fires it skips the attempts
-//    discovery proved fruitless (copying their counters) and re-runs only
-//    the matching entry for real; at a node whose unrolling an earlier
-//    fire changed ("dirty") it falls back to the full serial visit. The
-//    rewritten graph and all counting stats are therefore identical to the
-//    serial engine's at any thread count. See DESIGN.md §"Parallel
-//    discovery, serial commit".
+//    (node, pattern) outcomes;
+//
+//  - commit, always: walk the canonical order. At a node with a discovery
+//    record that no earlier fire touched, skip the attempts discovery
+//    proved fruitless (copying their counters) and re-run only the
+//    matching entry for real; at every other node — a node whose unrolling
+//    an earlier fire changed ("dirty"), a node appended mid-pass, or any
+//    node when NumThreads == 0 and there is no pool — visit live. The
+//    rewritten graph and all counting stats are therefore identical at any
+//    thread count. See DESIGN.md §"Parallel discovery, serial commit".
 //
 // Resource governance rides on the same invariant: the Budget's step/μ
 // ceilings are charged exclusively in committed order (never by discovery
@@ -28,7 +28,7 @@
 // sweep removes. See DESIGN.md §"Failure taxonomy, budgets, and
 // transactional commit".
 //
-// Both strategies commit a fire through fireFirstRule, whose cost is
+// Every fire commits through fireFirstRule, whose cost is
 // proportional to what the fire touched: the term view keeps its memo and
 // drops only the fired node's transitive users and the swept nodes, and
 // the sweep is a reference count from the fired node and the nodes
@@ -43,7 +43,6 @@
 #include "match/Declarative.h"
 #include "plan/Executor.h"
 #include "plan/PlanBuilder.h"
-#include "plan/Profile.h"
 #include "search/Search.h"
 #include "support/FaultInjection.h"
 #include "support/ThreadPool.h"
@@ -161,14 +160,14 @@ NodeId buildRhsImpl(Graph &G, graph::TermView &View, const RhsExpr *Rhs,
 /// Outcome of one speculative (node, pattern-entry) attempt on the frozen
 /// snapshot. Only outcomes the commit phase can replay without re-matching
 /// are distinguished; a match on an entry that has rules — or an exception
-/// — ends the node's discovery (the serial logic decides what happens at
+/// — ends the node's discovery (the live visit decides what happens at
 /// commit time).
 enum class AttemptKind : uint8_t {
   RootSkip,       ///< prefilter skipped the machine entirely
-  NoMatch,        ///< Failure or OutOfFuel: serial would just continue
+  NoMatch,        ///< Failure or OutOfFuel: the visit would just continue
   MatchNoRules,   ///< match counted, nothing can fire (match-only entry)
-  MatchWithRules, ///< match with candidate rules: re-run serially at commit
-  Threw,          ///< the attempt threw: re-run serially, absorb at commit
+  MatchWithRules, ///< match with candidate rules: re-run live at commit
+  Threw,          ///< the attempt threw: re-run live, absorb at commit
 };
 
 struct Attempt {
@@ -181,19 +180,13 @@ struct Attempt {
   double Seconds = 0.0;
 };
 
-/// Per-node discovery record: the attempt sequence the serial engine would
+/// Per-node discovery record: the attempt sequence the live visit would
 /// perform, ending at the first entry that might fire (if any). Complete
 /// distinguishes a finished record from one truncated by a worker-task
-/// fault — the commit phase recovers the latter with a full serial visit.
+/// fault — the commit phase recovers the latter with a live visit.
 struct NodeDiscovery {
   std::vector<Attempt> Attempts;
   bool Complete = false;
-  /// When profiling, the worker's tree-traversal trace for this node. For a
-  /// clean node it is byte-for-byte the trace the serial visit would have
-  /// produced (same frozen snapshot, same tree), so the commit phase merges
-  /// it instead of re-traversing — keeping profiles thread-count-invariant.
-  plan::TraversalTrace Trace;
-  bool Traced = false;
 };
 
 class Engine {
@@ -226,18 +219,6 @@ public:
         Plan = OwnedPlan.get();
       }
     }
-    if (MK == MatcherKind::Plan && Opts.PlanProfile) {
-      // Arm committed-order profile recording. A populated profile that was
-      // recorded against a different plan (stale ruleset) must not be mixed
-      // in: skip recording, warn, and run unprofiled — outcomes are
-      // unaffected either way.
-      if (Opts.PlanProfile->bindTo(*Plan))
-        Prof = Opts.PlanProfile;
-      else if (Opts.Diags)
-        Opts.Diags->warning({}, "plan profile ignored: it was recorded "
-                                "against a different match plan (stale "
-                                "ruleset?); recording disabled for this run");
-    }
     Bgt = Opts.EngineBudget;
     if (Bgt) {
       Bgt->start();
@@ -249,17 +230,16 @@ public:
     // The batched frontier sweep replaces per-node discrimination-tree
     // walks; it only exists where those walks exist.
     BatchActive = Opts.Batch && MK == MatcherKind::Plan && Opts.UseRootIndex;
-    // The serial/commit path's executor is constructed here, not lazily at
+    // The commit path's executor is constructed here, not lazily at
     // the first attempt: construction is run setup, and leaving it lazy
     // would bill the first *timed* attempt for it (visible as a fixed
     // per-run cost in DiscoverySeconds on small graphs). Placed after the
     // budget wiring above — executors copy MachineOpts, so an earlier
     // construction would silently drop the budget poll.
     if (MK == MatcherKind::Plan)
-      SerialExec =
+      CommitExec =
           std::make_unique<plan::Executor>(*Plan, Arena, Opts.MachineOpts);
-    return Opts.NumThreads == 0 ? runSerial(RewriteMode)
-                                : runParallel(RewriteMode);
+    return runPasses(RewriteMode);
   }
 
 private:
@@ -292,16 +272,10 @@ private:
   /// The compiled MatchPlan when MK == Plan (borrowed or freshly built).
   const plan::Program *Plan = nullptr;
   std::unique_ptr<plan::Program> OwnedPlan;
-  /// Armed (non-null) when Opts.PlanProfile bound to the run's plan. All
-  /// counter updates happen in committed order — serial visits, commit-time
-  /// trace merges, and commit-time replays — never on worker threads, so
-  /// the recorded profile is bit-identical at any thread count.
-  plan::Profile *Prof = nullptr;
-  plan::TraversalTrace ScratchTrace; ///< serial-path traversal scratch
-  std::vector<uint8_t> CandMask; ///< serial-path plan candidate scratch
+  std::vector<uint8_t> CandMask; ///< live-visit plan candidate scratch
   std::vector<std::optional<std::unordered_set<term::OpId>>> RootFilters;
-  /// Commit-phase invalidation bits over the pass's snapshot ids. Empty in
-  /// the serial engine (tracking disabled).
+  /// Commit-phase invalidation bits over the pass's discovered ids. Empty
+  /// when there is no pool (nothing was discovered to invalidate).
   std::vector<uint8_t> Dirty;
   /// Sticky per-entry quarantine bits, mutated in commit order only.
   std::vector<uint8_t> Quarantined;
@@ -312,23 +286,6 @@ private:
   std::vector<uint32_t> FuelExhausts;
   /// Set once when the run must halt; sticky. None while running.
   BudgetReason Stop = BudgetReason::None;
-
-  // --- Incremental re-discovery (RewriteOptions::Incremental) ---------
-  /// Cross-pass match memo, indexed by node id: the attempt sequence of
-  /// the node's last *fruitless* clean visit. Valid entries are replayed
-  /// (counters copied, budget charged, quarantine advanced — exactly the
-  /// parallel commit's clean-node replay) instead of re-running matchers.
-  /// Invalidation is the dirty region of each fire: markUsersDirty clears
-  /// the bit for every transitive user of the fired node, whose tree
-  /// unrollings are the only ones the fire can change.
-  std::vector<NodeDiscovery> Memo;
-  std::vector<uint8_t> MemoValid;
-  /// Recording target while a visitAndRecord live visit is running (null
-  /// otherwise); RecDead poisons the record the moment the visit does
-  /// anything a replay could not reproduce (guard evaluation, rule fire,
-  /// fault absorption).
-  NodeDiscovery *Rec = nullptr;
-  bool RecDead = false;
 
   // --- Batched discovery (RewriteOptions::Batch) ----------------------
   /// True when the per-pass frontier sweep is on (Batch + Plan matcher +
@@ -342,9 +299,8 @@ private:
   std::vector<uint32_t> BatchRows;
   std::vector<uint8_t> BatchMasks;
   std::vector<uint8_t> BatchRowValid;
-  std::vector<plan::TraversalTrace> BatchTraces;
-  /// The serial visit / commit path's executor over Arena (Plan matcher).
-  std::unique_ptr<plan::Executor> SerialExec;
+  /// The commit path's executor over Arena (Plan matcher).
+  std::unique_ptr<plan::Executor> CommitExec;
 
   // --- Fire-local commit (fireFirstRule) -------------------------------
   /// markUsersDirty's visit marks: a node is visited by the current walk
@@ -390,7 +346,7 @@ private:
   }
 
   /// Commit-order accounting for one finished attempt. Identical calls are
-  /// made by the serial visit and the parallel replay, so ceilings trip at
+  /// made by the live visit and the discovery replay, so ceilings trip at
   /// the identical attempt regardless of thread count.
   void chargeAttempt(uint64_t Steps, uint64_t MuUnfolds) {
     if (Faults && Faults->onBudgetCharge()) {
@@ -407,28 +363,6 @@ private:
     BudgetReason R = Bgt->exceededCeiling();
     if (R != BudgetReason::None)
       halt(R);
-  }
-
-  /// Memo accounting, committed order only: a hit is a node replayed from
-  /// the memo, a miss is any other committed node while incremental mode
-  /// is on. Mirrored into the budget so governed runs report the matcher
-  /// work the memo replaced next to the work that remained.
-  void noteMemoHit() {
-    ++Stats.MemoHits;
-    if (Bgt)
-      Bgt->chargeMemoHit();
-  }
-  void noteMemoMiss() {
-    ++Stats.MemoMisses;
-    if (Bgt)
-      Bgt->chargeMemoMiss();
-  }
-
-  void ensureMemoSize() {
-    if (Memo.size() < G.numNodes()) {
-      Memo.resize(G.numNodes());
-      MemoValid.resize(G.numNodes(), 0);
-    }
   }
 
   void quarantineEntry(size_t I, const char *Why) {
@@ -474,7 +408,7 @@ private:
 
   /// A discovery task died before recording its node (ThreadPool drained
   /// the rest and rethrew the first exception). The truncated records are
-  /// !Complete, so commit recovers them serially; nothing else is lost.
+  /// !Complete, so commit recovers them live; nothing else is lost.
   void onDiscoveryFault(const char *What) {
     ++Stats.Status.FaultsAbsorbed;
     Stats.Status.raise(EngineStatusCode::FaultInjected);
@@ -485,156 +419,48 @@ private:
       halt(BudgetReason::Fault);
   }
 
-  RewriteStats runSerial(bool RewriteMode) {
+  /// The pass loop. With a pool (NumThreads >= 1) each pass first runs
+  /// discovery over a frozen snapshot; with none (NumThreads == 0) it builds
+  /// no pool, no worker contexts and no discovery records, leaves Dirty
+  /// empty, and every node takes the live visit.
+  RewriteStats runPasses(bool RewriteMode) {
     double Start = nowSeconds();
     computeRootFilters();
+    std::optional<ThreadPool> Pool;
+    if (Opts.NumThreads != 0)
+      Pool.emplace(Opts.NumThreads);
 
     bool Changed = true;
     while (Changed && Stats.Passes < Opts.MaxPasses && !halted()) {
       Changed = false;
       ++Stats.Passes;
       prepareBatchMasks();
-      if (Opts.Order == Traversal::OperandsFirst) {
-        // Ascending ids visit operands before users; replacement nodes
-        // appended mid-pass are picked up within the same pass.
-        for (NodeId N = 0; N < G.numNodes(); ++N) {
-          if (G.isDead(N))
-            continue;
-          if (shouldStop())
-            break;
-          ++Stats.NodesVisited;
-          if (processSerialNode(N, RewriteMode))
-            Changed = true;
-        }
-      } else {
-        // RootsFirst: per-pass snapshot of the reverse topological order;
-        // nodes swept mid-pass are skipped, new nodes wait for the next
-        // pass.
-        std::vector<NodeId> Order = G.topoOrder();
-        for (auto It = Order.rbegin(); It != Order.rend(); ++It) {
-          NodeId N = *It;
-          if (G.isDead(N))
-            continue;
-          if (shouldStop())
-            break;
-          ++Stats.NodesVisited;
-          if (processSerialNode(N, RewriteMode))
-            Changed = true;
-        }
-      }
-      if (!RewriteMode)
-        break; // match-only: a single traversal
-    }
-    return finish(Start);
-  }
-
-  /// Serial per-node dispatch: replay the cross-pass memo when it is
-  /// valid, otherwise visit live (recording a fresh memo in incremental
-  /// mode). With incremental off this is exactly visitNode.
-  bool processSerialNode(NodeId N, bool RewriteMode) {
-    if (!Opts.Incremental)
-      return visitNode(N, RewriteMode);
-    if (N < MemoValid.size() && MemoValid[N]) {
-      noteMemoHit();
-      return replayMemo(N, RewriteMode);
-    }
-    noteMemoMiss();
-    return visitAndRecord(N, RewriteMode);
-  }
-
-  RewriteStats runParallel(bool RewriteMode) {
-    double Start = nowSeconds();
-    computeRootFilters();
-    ThreadPool Pool(Opts.NumThreads);
-    const size_t NumEntries = Rules.entries().size();
-
-    bool Changed = true;
-    while (Changed && Stats.Passes < Opts.MaxPasses && !halted()) {
-      Changed = false;
-      ++Stats.Passes;
-
-      // Freeze the traversal: ids below SnapshotSize in the order the
-      // commit phase will walk them. Workers only ever read the graph as
-      // it is right now — including the pass-start quarantine set (commit
-      // may grow the live set mid-pass).
-      const size_t SnapshotSize = G.numNodes();
-      QSnapshot = Quarantined;
-      prepareBatchMasks();
-      // Memo-valid nodes need no speculative discovery: the commit phase
-      // replays their recorded attempts directly, so incremental mode
-      // drops them from the work list (the discovery fan-out shrinks to
-      // the dirty region plus new nodes).
-      auto NeedsDiscovery = [&](NodeId N) {
-        return !(Opts.Incremental && N < MemoValid.size() && MemoValid[N]);
-      };
-      std::vector<NodeId> Work;
-      std::vector<NodeId> RootsOrder; // RootsFirst commit order
-      if (Opts.Order == Traversal::OperandsFirst) {
-        Work.reserve(SnapshotSize);
-        for (NodeId N = 0; N < SnapshotSize; ++N)
-          if (!G.isDead(N) && NeedsDiscovery(N))
-            Work.push_back(N);
-      } else {
+      // RootsFirst walks a per-pass snapshot of the reverse topological
+      // order: nodes swept mid-pass are skipped, new nodes wait for the
+      // next pass. OperandsFirst walks ascending ids, so operands come
+      // before their users and replacement nodes appended mid-pass are
+      // visited within the same pass.
+      std::vector<NodeId> RootsOrder;
+      if (Opts.Order == Traversal::RootsFirst) {
         std::vector<NodeId> Topo = G.topoOrder();
         RootsOrder.assign(Topo.rbegin(), Topo.rend());
-        Work.reserve(RootsOrder.size());
-        for (NodeId N : RootsOrder)
-          if (NeedsDiscovery(N))
-            Work.push_back(N);
+      }
+      std::vector<NodeDiscovery> Disc;
+      if (Pool) {
+        Disc = discoverPass(*Pool, RootsOrder, RewriteMode);
+        Dirty.assign(Disc.size(), 0);
       }
 
-      // Parallel discovery over the frozen snapshot. A task that throws
-      // (injected or real) costs only its own node's record — the pool
-      // drains every other task first — and never escapes this block.
-      std::vector<std::unique_ptr<WorkerCtx>> Ctxs;
-      Ctxs.reserve(Pool.size());
-      for (unsigned I = 0; I != Pool.size(); ++I)
-        Ctxs.push_back(std::make_unique<WorkerCtx>(G, NumEntries));
-      std::vector<NodeDiscovery> Disc(SnapshotSize);
-      double D0 = nowSeconds();
-      try {
-        Pool.parallelFor(Work.size(), [&](size_t I, unsigned Worker) {
-          if (Faults)
-            Faults->onWorkerTask();
-          NodeId N = Work[I];
-          discoverNode(N, *Ctxs[Worker], Disc[N], RewriteMode);
-        });
-      } catch (const std::exception &Ex) {
-        onDiscoveryFault(Ex.what());
-      } catch (...) {
-        onDiscoveryFault("unknown exception");
-      }
-      double DiscoveryWall = nowSeconds() - D0;
-      Stats.DiscoverySeconds += DiscoveryWall;
-      // Wall-clock, counted once — NOT the per-worker CPU sum — so
-      // MatchSeconds <= TotalSeconds stays true by construction.
-      Stats.MatchSeconds += DiscoveryWall;
-      for (auto &Ctx : Ctxs)
-        for (size_t I = 0; I != NumEntries; ++I)
-          Stats.Discovery[entryName(Rules.entries()[I])].merge(Ctx->Entry[I]);
-
-      // Serial commit in the canonical order; fires invalidate via Dirty.
-      // Per node: a still-valid memo is replayed (incremental hit), a
-      // clean discovered record is replayed via commitNode (and adopted
-      // as the node's memo when it proved the node fruitless), and a
-      // dirty or post-snapshot node is visited live — recording a fresh
-      // memo, exactly as the serial engine would at this point.
-      Dirty.assign(SnapshotSize, 0);
-      auto CommitOne = [&](NodeId N, bool Clean) {
-        if (Clean && Opts.Incremental && N < MemoValid.size() &&
-            MemoValid[N]) {
-          noteMemoHit();
-          return replayMemo(N, RewriteMode);
-        }
-        if (Opts.Incremental)
-          noteMemoMiss();
-        if (Clean) {
-          bool Fired = commitNode(N, Disc[N], RewriteMode);
-          maybeStoreMemo(N, Disc[N], Fired);
-          return Fired;
-        }
-        return Opts.Incremental ? visitAndRecord(N, RewriteMode)
-                                : visitNode(N, RewriteMode);
+      // Commit in the canonical order; fires invalidate via Dirty. A node
+      // with a clean discovery record is replayed via commitNode; a dirty
+      // or post-snapshot node — every node, without a pool — is visited
+      // live.
+      auto CommitOne = [&](NodeId N) {
+        ++Stats.NodesVisited;
+        bool Clean = N < Dirty.size() && !Dirty[N];
+        if (Clean ? commitNode(N, Disc[N], RewriteMode)
+                  : visitNode(N, RewriteMode))
+          Changed = true;
       };
       if (Opts.Order == Traversal::OperandsFirst) {
         for (NodeId N = 0; N < G.numNodes(); ++N) {
@@ -642,9 +468,7 @@ private:
             continue;
           if (shouldStop())
             break;
-          ++Stats.NodesVisited;
-          if (CommitOne(N, N < SnapshotSize && !Dirty[N]))
-            Changed = true;
+          CommitOne(N);
         }
       } else {
         for (NodeId N : RootsOrder) {
@@ -652,9 +476,7 @@ private:
             continue;
           if (shouldStop())
             break;
-          ++Stats.NodesVisited;
-          if (CommitOne(N, !Dirty[N]))
-            Changed = true;
+          CommitOne(N);
         }
       }
       Dirty.clear();
@@ -662,6 +484,58 @@ private:
         break; // match-only: a single traversal
     }
     return finish(Start);
+  }
+
+  /// One pass's parallel discovery over the frozen graph: every live node
+  /// below the current size, in the order the commit phase will walk them
+  /// (\p RootsOrder, or ascending ids when it is empty). Workers only ever
+  /// read the graph as it is right now — including the pass-start
+  /// quarantine set (commit may grow the live set mid-pass). A task that
+  /// throws (injected or real) costs only its own node's record — the pool
+  /// drains every other task first — and never escapes this function.
+  std::vector<NodeDiscovery> discoverPass(ThreadPool &Pool,
+                                          const std::vector<NodeId> &RootsOrder,
+                                          bool RewriteMode) {
+    const size_t NumEntries = Rules.entries().size();
+    const size_t SnapshotSize = G.numNodes();
+    QSnapshot = Quarantined;
+    std::vector<NodeId> Work;
+    if (Opts.Order == Traversal::OperandsFirst) {
+      Work.reserve(SnapshotSize);
+      for (NodeId N = 0; N < SnapshotSize; ++N)
+        if (!G.isDead(N))
+          Work.push_back(N);
+    } else {
+      Work = RootsOrder;
+    }
+
+    std::vector<std::unique_ptr<WorkerCtx>> Ctxs;
+    Ctxs.reserve(Pool.size());
+    for (unsigned I = 0; I != Pool.size(); ++I)
+      Ctxs.push_back(std::make_unique<WorkerCtx>(G, NumEntries));
+    std::vector<NodeDiscovery> Disc(SnapshotSize);
+    double D0 = nowSeconds();
+    try {
+      Pool.parallelFor(Work.size(), [&](size_t I, unsigned Worker) {
+        if (Faults)
+          Faults->onWorkerTask();
+        NodeId N = Work[I];
+        discoverNode(N, *Ctxs[Worker], Disc[N], RewriteMode);
+      });
+    } catch (const std::exception &Ex) {
+      onDiscoveryFault(Ex.what());
+    } catch (...) {
+      onDiscoveryFault("unknown exception");
+    }
+    double DiscoveryWall = nowSeconds() - D0;
+    Stats.DiscoverySeconds += DiscoveryWall;
+    // Wall-clock, counted once — NOT the per-worker CPU sum — so
+    // MatchSeconds <= TotalSeconds stays true by construction.
+    Stats.MatchSeconds += DiscoveryWall;
+    for (auto &Ctx : Ctxs)
+      for (size_t I = 0; I != NumEntries; ++I)
+        Stats.Discovery[entryName(Rules.entries()[I])].merge(Ctx->Entry[I]);
+    return Disc;
   }
 
   RewriteStats finish(double Start) {
@@ -697,7 +571,7 @@ private:
     return true;
   }
 
-  /// Entry-skip decision shared by the serial visit and discovery: true if
+  /// Entry-skip decision shared by the live visit and discovery: true if
   /// the active prefilter proves entry \p I cannot match at \p N. \p Cand
   /// is the node's plan candidate mask (empty when the plan prefilter is
   /// off). Identical inputs on both paths, so skip decisions — and with
@@ -711,34 +585,29 @@ private:
     return RootFilters[I] && !RootFilters[I]->count(G.op(N));
   }
 
-  /// Computes the plan candidate mask for one node (no-op unless the plan
-  /// prefilter is active). \p Trace, when non-null, receives the tree
-  /// traversal trace (profiling).
-  void planCandidates(NodeId N, std::vector<uint8_t> &Cand,
-                      plan::TraversalTrace *Trace = nullptr) const {
+  /// Computes the plan candidate mask for one node: the pass-start batch
+  /// row while it is still valid, else one tree walk (empty unless the plan
+  /// prefilter is active).
+  void planCandidates(NodeId N, std::vector<uint8_t> &Cand) const {
+    if (BatchActive && batchMaskFor(N, Cand))
+      return;
     if (MK == MatcherKind::Plan && Opts.UseRootIndex)
-      Plan->candidates(G, N, Cand, Trace);
+      Plan->candidates(G, N, Cand);
     else
       Cand.clear();
   }
 
   /// One matcher run under the active MatcherKind. Per-attempt observable
   /// behavior (status, visible witness, stats) is identical across the
-  /// two; only cost differs. \p RecProf is the profile to record entry
-  /// attempt/match counters into: the serial visit passes the armed
-  /// profile, discovery workers always pass nullptr (committed order only
-  /// — commitNode replays the counters from the attempt records instead).
-  /// \p Exec is the reused executor for \p A, built on first use; the
-  /// reference Machine always runs fresh.
+  /// two; only cost differs. \p Exec is the reused executor for \p A,
+  /// built on first use; the reference Machine always runs fresh.
   MatchResult runMatcher(size_t EntryIdx, const RewriteEntry &E,
                          term::TermRef T, const term::TermArena &A,
-                         plan::Profile *RecProf,
                          std::unique_ptr<plan::Executor> &Exec) const {
     if (MK == MatcherKind::Machine)
       return match::matchPattern(E.Pattern->Pat, T, A, Opts.MachineOpts);
     if (!Exec)
       Exec = std::make_unique<plan::Executor>(*Plan, A, Opts.MachineOpts);
-    Exec->setProfile(RecProf);
     return Exec->matchOne(EntryIdx, T);
   }
 
@@ -754,27 +623,16 @@ private:
   /// mirroring visitNode's entry order exactly. Runs on a worker thread:
   /// reads G, writes only worker-private state and this node's record. An
   /// attempt that throws ends the record with a Threw terminal — the
-  /// commit phase replays it serially and absorbs the (deterministically
+  /// commit phase re-runs it live and absorbs the (deterministically
   /// re-raised) fault there, in committed order.
   void discoverNode(NodeId N, WorkerCtx &W, NodeDiscovery &D,
                     bool RewriteMode) const {
     const auto &Entries = Rules.entries();
     D.Attempts.reserve(Entries.size());
-    // One tree traversal covers every entry. When profiling, capture its
-    // trace in the node record: the commit phase merges it (clean nodes)
-    // or discards it (dirty nodes re-traverse live) — never this thread.
-    // Batch mode reads the pass-start sweep's row instead (same mask, same
-    // trace sets; rows are immutable during discovery, so concurrent reads
-    // are safe).
-    const bool TraceIt = Prof && Opts.UseRootIndex;
-    if (BatchActive && batchMaskFor(N, W.Cand)) {
-      if (TraceIt)
-        D.Trace = BatchTraces[BatchRows[N]];
-      D.Traced = TraceIt;
-    } else {
-      planCandidates(N, W.Cand, TraceIt ? &D.Trace : nullptr);
-      D.Traced = TraceIt;
-    }
+    // One tree traversal covers every entry. Batch mode reads the
+    // pass-start sweep's row instead (same mask; rows are immutable during
+    // discovery, so concurrent reads are safe).
+    planCandidates(N, W.Cand);
     for (size_t I = 0; I != Entries.size(); ++I) {
       if (QSnapshot[I])
         continue;
@@ -795,7 +653,7 @@ private:
         if (Faults && Faults->atAttemptSite(Stats.Passes, N, I))
           throw InjectedFault("injected fault: attempt site");
         term::TermRef T = W.View.termFor(N);
-        MR = runMatcher(I, E, T, W.Arena, nullptr, W.Exec);
+        MR = runMatcher(I, E, T, W.Arena, W.Exec);
       } catch (...) {
         W.View.invalidate();
         A.Kind = AttemptKind::Threw;
@@ -842,33 +700,25 @@ private:
 
   /// Commit-phase replay of one *clean* node: copies the counters of
   /// attempts discovery proved fruitless — charging the budget and the
-  /// quarantine counters exactly as the serial visit would — and re-runs
+  /// quarantine counters exactly as the live visit would — and re-runs
   /// only a potential firing (or faulting) entry for real. Observably
   /// identical to visitNode(N), cheaper by every failed matcher run.
   /// Returns true if the graph changed.
   bool commitNode(NodeId N, const NodeDiscovery &D, bool RewriteMode) {
-    // Committed-order profiling: the worker's traversal of this clean node
-    // is identical to the one the serial visit would perform, so merge its
-    // trace exactly once, here, and tell any fallback live visit below not
-    // to record a second traversal.
-    if (Prof && D.Traced)
-      Prof->addTrace(D.Trace);
-    const bool RecordTraversal = !D.Traced;
     if (!D.Complete)
-      // task fault: recover serially
-      return visitNode(N, RewriteMode, 0, RecordTraversal);
+      return visitNode(N, RewriteMode); // task fault: recover live
     const auto &Entries = Rules.entries();
     for (const Attempt &A : D.Attempts) {
       if (halted())
         return false;
       if (Quarantined[A.Entry]) {
-        // Quarantined since the pass-start snapshot: the serial engine
+        // Quarantined since the pass-start snapshot: the live visit
         // would skip this entry without counting. A terminal record ends
         // here, but later entries were never explored — resume the live
         // visit right after it.
         if (A.Kind == AttemptKind::MatchWithRules ||
             A.Kind == AttemptKind::Threw)
-          return visitNode(N, RewriteMode, A.Entry + 1, RecordTraversal);
+          return visitNode(N, RewriteMode, A.Entry + 1);
         continue;
       }
       const RewriteEntry &E = Entries[A.Entry];
@@ -883,8 +733,6 @@ private:
         PS.Backtracks += A.Backtracks;
         PS.Seconds += A.Seconds;
         chargeAttempt(A.Steps, A.MuUnfolds);
-        if (Prof)
-          Prof->noteAttempt(A.Entry); // replay of the executor's counter
         if (A.Fuel) {
           ++PS.FuelExhausted;
           noteFuelExhaust(A.Entry);
@@ -896,21 +744,16 @@ private:
         PS.Backtracks += A.Backtracks;
         PS.Seconds += A.Seconds;
         chargeAttempt(A.Steps, A.MuUnfolds);
-        if (Prof) {
-          Prof->noteAttempt(A.Entry);
-          Prof->noteMatch(A.Entry);
-        }
         ++PS.Matches;
         ++Stats.TotalMatches;
         break;
       case AttemptKind::MatchWithRules:
       case AttemptKind::Threw:
         // The node is clean, so the outcome re-occurs identically on the
-        // live graph; resume the serial logic at this entry — it re-counts
-        // the attempt itself (profile counters included), handles guards/
-        // firing/fault absorption, and continues with the remaining
-        // entries when nothing fires.
-        return visitNode(N, RewriteMode, A.Entry, RecordTraversal);
+        // live graph; resume the live visit at this entry — it re-counts
+        // the attempt itself, handles guards/firing/fault absorption, and
+        // continues with the remaining entries when nothing fires.
+        return visitNode(N, RewriteMode, A.Entry);
       }
     }
     return false;
@@ -921,10 +764,7 @@ private:
   /// (Program::batchCandidates), instead of one depth-first walk per
   /// node. Row I is byte-for-byte candidates(BatchRoots[I]), so every
   /// skip decision — and every RootSkips counter — is unchanged; only the
-  /// traversal schedule is. Incremental mode skips memo-valid nodes: a
-  /// replay never consults a candidate mask (and a replay that falls back
-  /// to a live visit walks the tree per-node, as the row-invalid path
-  /// does).
+  /// traversal schedule is.
   void prepareBatchMasks() {
     if (!BatchActive)
       return;
@@ -934,13 +774,10 @@ private:
     for (NodeId N = 0; N < NumNodes; ++N) {
       if (G.isDead(N))
         continue;
-      if (Opts.Incremental && N < MemoValid.size() && MemoValid[N])
-        continue;
       BatchRows[N] = static_cast<uint32_t>(BatchRoots.size());
       BatchRoots.push_back(N);
     }
-    Plan->batchCandidates(G, BatchRoots, BatchMasks,
-                          Prof ? &BatchTraces : nullptr);
+    Plan->batchCandidates(G, BatchRoots, BatchMasks);
     BatchRowValid.assign(BatchRoots.size(), 1);
     Stats.BatchedNodes += BatchRoots.size();
   }
@@ -968,153 +805,16 @@ private:
     }
   }
 
-  /// Live visit of \p N that records the attempt sequence into the
-  /// cross-pass memo. Only a *fruitless* clean visit is adopted: every
-  /// attempt ended RootSkip / NoMatch / MatchNoRules, no fault was
-  /// absorbed, no guard ran (guard evaluation advances the global
-  /// fault-injection counter, so a replay skipping it would desynchronize
-  /// fault schedules), and the run was not halted mid-visit. Anything
-  /// else leaves the memo invalid and the node is revisited live next
-  /// pass — exactly the full-rescan behavior.
-  bool visitAndRecord(NodeId N, bool RewriteMode) {
-    ensureMemoSize();
-    NodeDiscovery &D = Memo[N];
-    D = NodeDiscovery();
-    MemoValid[N] = 0;
-    Rec = &D;
-    RecDead = false;
-    bool Fired = visitNode(N, RewriteMode);
-    Rec = nullptr;
-    if (!Fired && !RecDead && !halted()) {
-      D.Complete = true;
-      MemoValid[N] = 1;
-    }
-    return Fired;
-  }
-
-  /// Adopts a clean parallel-discovery record as node \p N's cross-pass
-  /// memo when it proves the node fruitless — the same bar
-  /// visitAndRecord applies on the serial path. Terminal records
-  /// (MatchWithRules, Threw) are refused even when nothing fired at
-  /// commit time (a guard rejection or absorbed fault is not replayable).
-  void maybeStoreMemo(NodeId N, NodeDiscovery &D, bool Fired) {
-    if (!Opts.Incremental || Fired || halted() || !D.Complete)
-      return;
-    for (const Attempt &A : D.Attempts)
-      if (A.Kind == AttemptKind::MatchWithRules ||
-          A.Kind == AttemptKind::Threw)
-        return;
-    ensureMemoSize();
-    Memo[N] = std::move(D);
-    MemoValid[N] = 1;
-  }
-
-  /// Replays node \p N's memoized fruitless visit in committed order:
-  /// counters copied, budget charged, quarantine advanced, recorded
-  /// traversal trace re-added — exactly commitNode's clean-node replay,
-  /// plus the one check a *cross-pass* record needs. The site-fault
-  /// schedule depends on the pass number, so every attempt the full
-  /// rescan would run re-consults it; an armed site invalidates the memo
-  /// and falls back to the live visit, which absorbs the fault at the
-  /// identical committed attempt. Entries quarantined since the record
-  /// was taken are skipped without counting (quarantine is sticky, so the
-  /// rescan would skip them at the same point). Replays never fire, so
-  /// the pass fixpoint is reached exactly when full rescanning reaches
-  /// it.
-  bool replayMemo(NodeId N, bool RewriteMode) {
-    const NodeDiscovery &D = Memo[N];
-    if (Prof && D.Traced)
-      Prof->addTrace(D.Trace);
-    const auto &Entries = Rules.entries();
-    for (const Attempt &A : D.Attempts) {
-      if (halted())
-        return false;
-      if (Quarantined[A.Entry])
-        continue;
-      if (A.Kind != AttemptKind::RootSkip && Faults &&
-          Faults->atAttemptSite(Stats.Passes, N, A.Entry)) {
-        MemoValid[N] = 0;
-        return visitNode(N, RewriteMode, A.Entry,
-                         /*RecordTraversal=*/!D.Traced);
-      }
-      const RewriteEntry &E = Entries[A.Entry];
-      PatternStats &PS = statsFor(E);
-      switch (A.Kind) {
-      case AttemptKind::RootSkip:
-        ++PS.RootSkips;
-        break;
-      case AttemptKind::NoMatch:
-        ++PS.Attempts;
-        PS.MachineSteps += A.Steps;
-        PS.Backtracks += A.Backtracks;
-        PS.Seconds += A.Seconds;
-        chargeAttempt(A.Steps, A.MuUnfolds);
-        if (Prof)
-          Prof->noteAttempt(A.Entry);
-        if (A.Fuel) {
-          ++PS.FuelExhausted;
-          noteFuelExhaust(A.Entry);
-        }
-        break;
-      case AttemptKind::MatchNoRules:
-        ++PS.Attempts;
-        PS.MachineSteps += A.Steps;
-        PS.Backtracks += A.Backtracks;
-        PS.Seconds += A.Seconds;
-        chargeAttempt(A.Steps, A.MuUnfolds);
-        if (Prof) {
-          Prof->noteAttempt(A.Entry);
-          Prof->noteMatch(A.Entry);
-        }
-        ++PS.Matches;
-        ++Stats.TotalMatches;
-        break;
-      case AttemptKind::MatchWithRules:
-      case AttemptKind::Threw:
-        // Unreachable: terminal records are never adopted as memos
-        // (visitAndRecord poisons them, maybeStoreMemo refuses them).
-        // Recover with a live visit all the same.
-        MemoValid[N] = 0;
-        return visitNode(N, RewriteMode, A.Entry,
-                         /*RecordTraversal=*/!D.Traced);
-      }
-    }
-    return false;
-  }
-
   /// Tries each pattern from \p StartEntry in order at node N; on a match
   /// fires the first rule whose guard passes. Absorbs any exception thrown
   /// by the matcher, a guard, or the RHS builder (see onAttemptFault).
-  /// \p RecordTraversal is false only when commitNode already merged this
-  /// node's worker-recorded traversal trace (never record it twice).
   /// Returns true if the graph changed.
-  bool visitNode(NodeId N, bool RewriteMode, size_t StartEntry = 0,
-                 bool RecordTraversal = true) {
+  bool visitNode(NodeId N, bool RewriteMode, size_t StartEntry = 0) {
     const auto &Entries = Rules.entries();
-    // One tree traversal covers every entry; when profiling, it is also
-    // one committed-order sample of group visits and edge hits. Batch mode
-    // substitutes the pass-start sweep's row when still valid (identical
-    // mask and trace sets; a dirtied row falls back to the live walk).
-    const bool TraceIt = Prof && Opts.UseRootIndex && RecordTraversal;
-    if (BatchActive && batchMaskFor(N, CandMask)) {
-      if (TraceIt) {
-        const plan::TraversalTrace &BT = BatchTraces[BatchRows[N]];
-        Prof->addTrace(BT);
-        if (Rec) {
-          Rec->Trace = BT;
-          Rec->Traced = true;
-        }
-      }
-    } else if (TraceIt) {
-      planCandidates(N, CandMask, &ScratchTrace);
-      Prof->addTrace(ScratchTrace);
-      if (Rec) {
-        Rec->Trace = ScratchTrace;
-        Rec->Traced = true;
-      }
-    } else {
-      planCandidates(N, CandMask);
-    }
+    // One tree traversal covers every entry. Batch mode substitutes the
+    // pass-start sweep's row when still valid (identical mask; a dirtied
+    // row falls back to the live walk).
+    planCandidates(N, CandMask);
     for (size_t I = StartEntry; I != Entries.size(); ++I) {
       if (halted())
         return false;
@@ -1124,12 +824,6 @@ private:
       PatternStats &PS = statsFor(E);
       if (prefilteredOut(I, N, CandMask)) {
         ++PS.RootSkips;
-        if (Rec) {
-          Attempt A;
-          A.Entry = static_cast<uint32_t>(I);
-          A.Kind = AttemptKind::RootSkip;
-          Rec->Attempts.push_back(A);
-        }
         continue;
       }
 
@@ -1139,15 +833,13 @@ private:
         if (Faults && Faults->atAttemptSite(Stats.Passes, N, I))
           throw InjectedFault("injected fault: attempt site");
         term::TermRef T = View.termFor(N);
-        MR = runMatcher(I, E, T, Arena, Prof, SerialExec);
+        MR = runMatcher(I, E, T, Arena, CommitExec);
       } catch (const std::exception &Ex) {
         View.invalidate();
-        RecDead = true; // absorbed fault: not replayable
         onAttemptFault(I, Ex.what());
         continue;
       } catch (...) {
         View.invalidate();
-        RecDead = true;
         onAttemptFault(I, "unknown exception");
         continue;
       }
@@ -1160,17 +852,6 @@ private:
       Stats.MatchSeconds += Elapsed;
       chargeAttempt(MR.Stats.Steps, MR.Stats.MuUnfolds);
       if (S != MachineStatus::Success) {
-        if (Rec) {
-          Attempt A;
-          A.Entry = static_cast<uint32_t>(I);
-          A.Kind = AttemptKind::NoMatch;
-          A.Fuel = (S == MachineStatus::OutOfFuel);
-          A.Steps = MR.Stats.Steps;
-          A.Backtracks = MR.Stats.Backtracks;
-          A.MuUnfolds = MR.Stats.MuUnfolds;
-          A.Seconds = Elapsed;
-          Rec->Attempts.push_back(A);
-        }
         if (S == MachineStatus::OutOfFuel) {
           ++PS.FuelExhausted;
           noteFuelExhaust(I);
@@ -1186,27 +867,12 @@ private:
       ++PS.Matches;
       ++Stats.TotalMatches;
       if (!RewriteMode || E.Rules.empty()) {
-        if (Rec) {
-          Attempt A;
-          A.Entry = static_cast<uint32_t>(I);
-          A.Kind = AttemptKind::MatchNoRules;
-          A.Steps = MR.Stats.Steps;
-          A.Backtracks = MR.Stats.Backtracks;
-          A.MuUnfolds = MR.Stats.MuUnfolds;
-          A.Seconds = Elapsed;
-          Rec->Attempts.push_back(A);
-        }
         if (!Opts.MemoizeTermView)
           View.invalidate();
         continue;
       }
       if (halted())
         return false; // budget died charging this attempt: don't fire
-
-      // Rules are in play: guards and fires from here on are not
-      // replayable (guard evaluation advances the global fault counter),
-      // so the node's record is poisoned whether or not anything fires.
-      RecDead = true;
 
       bool Fired;
       try {
@@ -1254,8 +920,8 @@ private:
       NodeId Replacement = buildRhsImpl(G, View, R->Rhs, W, *SI, Faults);
       if (Replacement == graph::InvalidNode)
         continue; // RHS build failed (unbound var); try next rule
-      // Invalidate term conversions, discovery results, cross-pass memos,
-      // and batch-swept candidate rows downstream of this fire *before*
+      // Invalidate term conversions, discovery results, and batch-swept
+      // candidate rows downstream of this fire *before*
       // the user edges are redirected away (afterwards the old users are
       // unreachable from N).
       markUsersDirty(N);
@@ -1279,17 +945,17 @@ private:
   /// Marks every transitive user of \p Root dirty: their tree unrollings
   /// reach Root, so redirecting Root's uses changes what they match —
   /// and nothing else's unrolling changes, which makes this walk the
-  /// *exact* invalidation set for every cached match artifact. Four
-  /// caches honor it: the term view's conversions, the parallel commit's
-  /// Dirty bits, the cross-pass incremental memo (MemoValid), and the
-  /// pass's batch-swept candidate rows. Conservative (already-committed
-  /// users are marked too, harmlessly); traverses through post-snapshot
-  /// nodes but only snapshot ids carry a Dirty bit — new nodes always
-  /// take the live path anyway. When the term view is the only cache in
-  /// play, the walk stops at unconverted users: the view's memo is closed
-  /// under inputs, so nothing above an unconverted node is converted.
+  /// *exact* invalidation set for every cached match artifact. Three
+  /// caches honor it: the term view's conversions, the commit phase's
+  /// Dirty bits, and the pass's batch-swept candidate rows. Conservative
+  /// (already-committed users are marked too, harmlessly); traverses
+  /// through post-snapshot nodes but only snapshot ids carry a Dirty bit —
+  /// new nodes always take the live path anyway. When the term view is the
+  /// only cache in play (no pool, no batch), the walk stops at unconverted
+  /// users: the view's memo is closed under inputs, so nothing above an
+  /// unconverted node is converted.
   void markUsersDirty(NodeId Root) {
-    const bool ViewOnly = Dirty.empty() && !Opts.Incremental && !BatchActive;
+    const bool ViewOnly = Dirty.empty() && !BatchActive;
     if (WalkMark.size() < G.numNodes()) {
       WalkMark.reserve(G.numNodes() + G.numNodes() / 8);
       WalkMark.resize(G.numNodes(), 0);
@@ -1310,8 +976,6 @@ private:
           continue;
         if (U < Dirty.size())
           Dirty[U] = 1;
-        if (U < MemoValid.size())
-          MemoValid[U] = 0;
         invalidateBatchRow(U);
         WalkStack.push_back(U);
       }
@@ -1417,9 +1081,6 @@ std::string RewriteStats::summary() const {
   Out += " matches=" + std::to_string(TotalMatches);
   Out += " fired=" + std::to_string(TotalFired);
   Out += " swept=" + std::to_string(NodesSwept);
-  if (MemoHits || MemoMisses)
-    Out += " memoHits=" + std::to_string(MemoHits) +
-           " memoMisses=" + std::to_string(MemoMisses);
   if (BatchedNodes)
     Out += " batched=" + std::to_string(BatchedNodes);
   char Buf[80];

@@ -17,11 +17,11 @@
 ///    only the conversions it changed (the fired node's transitive users
 ///    and the nodes it swept), and the sweep counts references from the
 ///    nodes it touched instead of marking the whole graph;
-///  - parallel match discovery (RewriteOptions::NumThreads): per-pass,
+///  - parallel match discovery (RewriteOptions::NumThreads): per pass,
 ///    match attempts fan out over a work-stealing pool against a frozen
-///    graph snapshot, then candidates commit serially in canonical order —
-///    see DESIGN.md §"Parallel discovery, serial commit" for the
-///    determinism argument.
+///    graph snapshot, then candidates commit serially in canonical order
+///    through the same pass loop that runs without a pool — see DESIGN.md
+///    §"Parallel discovery, serial commit" for the determinism argument.
 ///
 /// Per-pattern statistics (attempts, matches, fires, machine steps, wall
 /// time) drive the compile-time-cost experiments (Figs. 12–13).
@@ -61,7 +61,6 @@ class FaultInjector;
 } // namespace pypm
 
 namespace pypm::plan {
-struct Profile;
 struct Program;
 } // namespace pypm::plan
 
@@ -109,9 +108,9 @@ struct RewriteStats {
   uint64_t TotalMatches = 0;
   uint64_t TotalFired = 0;
   uint64_t NodesSwept = 0;
-  /// Wall-clock spent matching: per-attempt matcher time in the serial
-  /// engine; discovery-phase wall-clock plus serial re-match time in the
-  /// parallel engine. Always disjoint subintervals of the run, so
+  /// Wall-clock spent matching: the discovery phase's wall-clock (with a
+  /// pool) plus the per-attempt matcher time of the live visits at commit.
+  /// Always disjoint subintervals of the run, so
   /// MatchSeconds <= TotalSeconds holds by construction (per-worker CPU
   /// time is deliberately NOT summed into this field — see
   /// PatternStats::Seconds for the summed view).
@@ -123,23 +122,9 @@ struct RewriteStats {
   /// cacheable-artifact story is quantified.
   double PlanCompileSeconds = 0.0;
   /// Wall-clock of the candidate-discovery work alone: the parallel
-  /// fan-out phases (parallel engine) or, in the serial engine, the same
-  /// value as MatchSeconds. The thread-sweep benches report this.
+  /// fan-out phases (NumThreads >= 1) or, with no pool, the same value as
+  /// MatchSeconds. The thread-sweep benches report this.
   double DiscoverySeconds = 0.0;
-  /// Incremental re-discovery accounting (RewriteOptions::Incremental;
-  /// both zero otherwise). A hit is one committed node whose fruitless
-  /// visit was replayed from the persistent per-node memo instead of
-  /// re-running the matchers; a miss is one committed node visited live
-  /// (first sight, dirty region, or unmemoizable outcome). Counted in
-  /// committed node order. Mode-descriptive — like DiscoverySeconds,
-  /// excluded from equality comparisons: when quarantine grows mid-pass,
-  /// the parallel engine can adopt a node's memo one pass later than the
-  /// serial engine (a discovery record truncated at a just-quarantined
-  /// entry is refused where the serial visit records past the skip), so
-  /// the hit/miss split may differ across thread counts even though every
-  /// committed outcome is identical.
-  uint64_t MemoHits = 0;
-  uint64_t MemoMisses = 0;
   /// Nodes whose plan candidate mask came from a pass-start batched
   /// frontier sweep instead of a per-node tree traversal
   /// (RewriteOptions::Batch with the Plan matcher; 0 otherwise).
@@ -172,7 +157,8 @@ struct RewriteStats {
   /// merged across workers with PatternStats::merge (order-independent).
   /// Differs from PerPattern in both directions: it includes attempts at
   /// snapshot nodes a fire later invalidated, but not the commit phase's
-  /// re-runs at dirty or newly appended nodes. Empty when NumThreads == 0.
+  /// live visits at dirty or newly appended nodes. Empty when
+  /// NumThreads == 0.
   std::map<std::string, PatternStats> Discovery;
 
   /// MaxRewrites tripped (kept as a helper — the old ad-hoc bool this
@@ -244,46 +230,25 @@ struct RewriteOptions {
   /// rule set — the engine verifies entry names and falls back to a fresh
   /// compile on mismatch.
   const plan::Program *PrecompiledPlan = nullptr;
-  /// With the Plan matcher: record a discrimination-tree/executor
-  /// profile of the run into this profile (see plan/Profile.h). Borrowed,
-  /// must outlive the run. An empty profile is bound to the run's plan; a
-  /// populated one keeps accumulating if it is bound to the same plan,
-  /// otherwise recording is skipped with a warning (stale profile).
-  /// Counters are recorded strictly in committed order — per-worker
-  /// traversal traces merge at commit — so the recorded profile is
-  /// bit-identical at any NumThreads (tests/test_planprofile.cpp).
-  plan::Profile *PlanProfile = nullptr;
   Traversal Order = Traversal::OperandsFirst;
-  /// Incremental re-discovery: remember each node's complete, fruitless,
-  /// fault-free visit (the per-attempt outcome sequence) across passes and
-  /// replay it — copying counters, charging the budget, feeding quarantine
-  /// — instead of re-running the matchers, until a committed fire dirties
-  /// the node's region (the rewritten subtree's transitive users, computed
-  /// before the use edges are redirected) and invalidates the memo. Works
-  /// with every MatcherKind and thread count; results are bit-identical to
-  /// full re-discovery (final graph, witness order, every counter except
-  /// wall-clock and the MemoHits/MemoMisses accounting itself) — the
-  /// site-scheduled fault injector is re-consulted per replayed attempt,
-  /// and any armed site falls back to the live visit, so even injected
-  /// faults land at the identical committed attempt
-  /// (tests/test_incremental.cpp proves all of it differentially).
-  bool Incremental = false;
   /// Batched discovery: with the Plan matcher and the prefilter on, one
   /// struct-of-arrays frontier sweep of the discrimination tree computes
   /// every pass-start node's candidate mask at once
   /// (Program::batchCandidates) instead of one tree walk per node.
-  /// Bit-identical to per-root discovery: a fire invalidates the dirty
-  /// region's precomputed masks exactly like the incremental memo. A no-op
-  /// under the reference Machine, which has no tree.
+  /// Bit-identical to per-root discovery: a fire invalidates the
+  /// precomputed masks of its dirty region (the fired node's transitive
+  /// users), which fall back to a per-node walk. A no-op under the
+  /// reference Machine, which has no tree.
   bool Batch = false;
-  /// Worker threads for the parallel match-discovery phase. 0 runs the
-  /// serial legacy engine (kept for the ablation benches); N >= 1 fans
+  /// Worker threads for the parallel match-discovery phase. 0 means "no
+  /// pool": every node is visited live by the one pass loop. N >= 1 fans
   /// node→pattern match attempts out over N workers against a frozen
-  /// snapshot of the graph, then commits candidates serially in the
-  /// canonical node/pattern order. The rewritten graph — and every
-  /// per-pattern counter except Seconds — is identical to the serial
-  /// engine's at any thread count, including 1 (tests/test_parallel_rewrite
-  /// proves it differentially).
+  /// snapshot of the graph, then the same loop commits candidates serially
+  /// in the canonical node/pattern order. The rewritten graph — and every
+  /// per-pattern counter except Seconds — is identical at any thread
+  /// count, including 0 and 1 (tests/test_parallel_rewrite proves it
+  /// differentially). Callers taking the count from outside the program
+  /// bound it by kMaxPoolThreads (support/ThreadPool.h).
   unsigned NumThreads = 0;
   match::Machine::Options MachineOpts;
 
@@ -325,7 +290,8 @@ struct RewriteOptions {
   /// ceilings, memory estimate, cancellation). Borrowed, not owned; the
   /// engine calls start() and charges it in committed attempt order, so
   /// exhaustion is bit-identical at any NumThreads. Also handed to every
-  /// matcher run (serial and workers) for deadline/cancellation polling.
+  /// matcher run (commit path and workers) for deadline/cancellation
+  /// polling.
   Budget *EngineBudget = nullptr;
   /// After this many OutOfFuel attempts, a pattern entry is quarantined:
   /// disabled for the rest of the run with a DiagnosticEngine warning, and
@@ -376,8 +342,8 @@ RewriteStats rewriteToFixpoint(graph::Graph &G, const RuleSet &Rules,
 RewriteStats matchAll(graph::Graph &G, const RuleSet &Rules,
                       RewriteOptions Opts = {});
 
-/// Test seam over the greedy engine's commit path (serial visit and
-/// parallel commit alike). Differential tests use it to compare the
+/// Test seam over the greedy engine's commit path (live visits and
+/// discovery replays alike). Differential tests use it to compare the
 /// engine's persistent term view with a freshly built one after every
 /// fire, and to count term conversions per run.
 class CommitObserver {

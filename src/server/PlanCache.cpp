@@ -218,8 +218,7 @@ void PlanCache::tryStoreDisk(const CachedRuleSet &E) {
 
   DiagnosticEngine Diags;
   std::string Bytes =
-      plan::serializePlan(E.lib(), E.Sig, /*RulesOnly=*/true, Diags,
-                          E.LP ? E.LP->Prof.get() : nullptr);
+      plan::serializePlan(E.lib(), E.Sig, /*RulesOnly=*/true, Diags);
   if (Bytes.empty())
     return; // best-effort tier: never fail the request over it
   atomicInstall(diskPath(E.Key), Bytes);

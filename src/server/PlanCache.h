@@ -78,7 +78,7 @@ struct CachedRuleSet {
   std::string LibBytes; ///< canonical .pypmbin (identity check on hits)
   term::Signature Sig;
   /// Exactly one of Lib / LP owns the library (LP when the input or disk
-  /// entry was a .pypmplan artifact, whose loader also carries a profile).
+  /// entry was a .pypmplan artifact).
   std::unique_ptr<pattern::Library> Lib;
   std::unique_ptr<plan::LoadedPlan> LP;
   rewrite::RuleSet OwnRules;

@@ -4,6 +4,7 @@
 
 #include "support/Hash.h"
 #include "support/Shutdown.h"
+#include "support/ThreadPool.h"
 
 #include <cerrno>
 #include <cstring>
@@ -17,6 +18,8 @@ namespace {
 
 constexpr char kRequestMagic[4] = {'P', 'Y', 'R', 'Q'};
 constexpr char kReplyMagic[4] = {'P', 'Y', 'R', 'P'};
+/// The one defined bit of a rewrite request's Flags byte.
+constexpr uint8_t kFlagBatch = 2;
 
 uint64_t fnv(std::string_view Bytes) {
   Fnv1aHash H;
@@ -292,8 +295,7 @@ std::string pypm::server::encodeRewriteRequest(const RewriteRequest &R) {
   putU64(B, R.MaxRewrites);
   putU32(B, R.Threads);
   B.push_back(static_cast<char>(R.Matcher));
-  uint8_t Flags = (R.Incremental ? 1 : 0) | (R.Batch ? 2 : 0);
-  B.push_back(static_cast<char>(Flags));
+  B.push_back(static_cast<char>(R.Batch ? kFlagBatch : 0));
   putU64(B, R.FaultSiteSeed);
   putU64(B, R.FaultSitePeriod);
   B.push_back(static_cast<char>(R.Search));
@@ -327,13 +329,13 @@ bool pypm::server::decodeRewriteRequest(std::string_view Body,
   }
   const bool KnownMatcher =
       Out.Matcher == 0 || Out.Matcher == 1 || Out.Matcher == 3;
-  if (Named > 1 || !KnownMatcher || (Flags & ~3u) != 0 || Out.Search > 3) {
+  if (Named > 1 || !KnownMatcher || (Flags & ~kFlagBatch) != 0 ||
+      Out.Search > 3 || Out.Threads > kMaxPoolThreads) {
     Err = "rewrite request field out of range";
     return false;
   }
   Out.NamedRuleSet = Named != 0;
-  Out.Incremental = (Flags & 1) != 0;
-  Out.Batch = (Flags & 2) != 0;
+  Out.Batch = (Flags & kFlagBatch) != 0;
   return true;
 }
 

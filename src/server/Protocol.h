@@ -100,12 +100,15 @@ struct RewriteRequest {
   uint64_t MaxSteps = 0;
   uint64_t MaxMuUnfolds = 0;
   uint64_t MaxRewrites = 0;
+  /// Discovery workers (RewriteOptions::NumThreads); values above
+  /// kMaxPoolThreads (support/ThreadPool.h) are rejected at decode.
   uint32_t Threads = 0;
   /// 0 = server default (plan), 1 = machine, 3 = plan. Values 2, 4 and 5
   /// named matchers that no longer exist and are rejected at decode; they
   /// are not reused.
   uint8_t Matcher = 0;
-  bool Incremental = false;
+  /// Flags byte bit 1 (kFlagBatch). Bit 0 named the retired incremental
+  /// memo; a request that sets it, or any other bit, is rejected at decode.
   bool Batch = false;
   /// Per-request deterministic fault injection: the site-schedule harness
   /// (support/FaultInjection.h) armed for this run only. 0 period = off.

@@ -164,7 +164,6 @@ RewriteReply Server::handle(const RewriteRequest &R) {
   EOpts.Matcher = R.Matcher == 1 ? rewrite::MatcherKind::Machine
                                  : rewrite::MatcherKind::Plan;
   EOpts.PrecompiledPlan = &E->prog();
-  EOpts.Incremental = R.Incremental;
   EOpts.Batch = R.Batch;
   if (R.MaxRewrites)
     EOpts.MaxRewrites = R.MaxRewrites;

@@ -86,17 +86,6 @@ public:
   uint64_t stepsUsed() const { return StepsUsed; }
   uint64_t muUnfoldsUsed() const { return MuUnfoldsUsed; }
 
-  /// Incremental-discovery memo accounting, charged in committed node
-  /// order by the engine (RewriteOptions::Incremental). Informational —
-  /// there is no memo ceiling, and the hit/miss split is mode-descriptive
-  /// (see RewriteStats::MemoHits), not part of the determinism contract —
-  /// but recorded here so one governed run reports matcher work and the
-  /// memo work that replaced it side by side.
-  void chargeMemoHit() { ++MemoHitsUsed; }
-  void chargeMemoMiss() { ++MemoMissesUsed; }
-  uint64_t memoHits() const { return MemoHitsUsed; }
-  uint64_t memoMisses() const { return MemoMissesUsed; }
-
   /// Deterministic ceilings over the charged counters.
   BudgetReason exceededCeiling() const;
 
@@ -114,8 +103,6 @@ private:
   double DeadlineAt = 0; ///< steady-clock seconds; valid when Started
   uint64_t StepsUsed = 0;
   uint64_t MuUnfoldsUsed = 0;
-  uint64_t MemoHitsUsed = 0;
-  uint64_t MemoMissesUsed = 0;
 };
 
 /// Structured outcome of a governed engine run, most severe first:

@@ -2,9 +2,9 @@
 ///
 /// \file
 /// A tiny incremental FNV-1a (64-bit) hasher shared by the artifact layers
-/// that need a stable, portable content fingerprint: the match-plan
-/// canonical signature (binds a `.pypmprof` profile to the plan it was
-/// recorded against) and the profile artifact's payload checksum.
+/// that need a stable, portable content fingerprint: the plan cache key
+/// (plan::cacheKey), the daemon's frame checksums and raw-index files, and
+/// the analysis layer's fingerprints.
 ///
 /// FNV-1a's per-byte step `h = (h ^ b) * prime` is injective in `b` for a
 /// fixed incoming `h` (the prime is odd, so the multiply is invertible mod

@@ -35,10 +35,23 @@
 #include <exception>
 #include <functional>
 #include <mutex>
+#include <optional>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 namespace pypm {
+
+/// The largest worker count a thread count from outside the program (a
+/// daemon request's Threads field, a `--threads` option) may ask for. The
+/// wire decoder and the tools reject larger values instead of spawning
+/// that many threads for one request.
+constexpr unsigned kMaxPoolThreads = 256;
+
+/// Parses a decimal thread count from outside the program: digits only,
+/// at most kMaxPoolThreads. Anything else (a sign, a non-digit, an empty
+/// string, a larger value) is nullopt, never a wrapped or zero count.
+std::optional<unsigned> parseThreadCount(std::string_view S);
 
 class ThreadPool {
 public:

@@ -6,8 +6,8 @@
 /// the two shared differential oracles — plan executor ≡ reference Machine
 /// per attempt (expectExecutorMatchesMachine) and per run
 /// (expectSameGraph) — and the zoo-differential scaffolding (runModel +
-/// the engine-run equality bars) shared by the MatchPlan / PlanProfile /
-/// incremental / fire-local / search suites, and the seeded random DAGs
+/// the engine-run equality bars) shared by the MatchPlan / batch /
+/// fire-local / search suites, and the seeded random DAGs
 /// (randomDag) of the fire-local and graph-codec suites.
 ///
 //===----------------------------------------------------------------------===//
@@ -292,9 +292,8 @@ inline void expectSameRewrites(const RunResult &A, const RunResult &B,
 }
 
 /// What must agree between two runs of the *same* matcher kind (across
-/// thread counts, profiled orderings, or the batch/incremental discovery
-/// modes): every observable except wall-clock and the mode-descriptive
-/// memo/batch counters.
+/// thread counts, or with and without batched discovery): every observable
+/// except wall-clock and the mode-descriptive batch counter.
 inline void expectFullyEqual(const RunResult &A, const RunResult &B,
                              const std::string &Label) {
   SCOPED_TRACE(Label);

@@ -561,11 +561,11 @@ rule r for P(x) { return Gelu(x); }
             std::string::npos);
 }
 
-TEST(AnalysisPreflight, LintRejectionUnderSearchAndIncrementalIsInert) {
+TEST(AnalysisPreflight, LintRejectionUnderSearchAndBatchIsInert) {
   // S3: the preflight refusal must compose with the cost-directed search
-  // and the incremental discovery mode — a refused run spends zero search
+  // and the batched discovery mode — a refused run spends zero search
   // work (no clones priced, no steps) and leaves the graph byte-identical,
-  // for beam, auto, and their --incremental combinations alike.
+  // for beam, auto, and their --batch combinations alike.
   term::Signature Sig;
   std::unique_ptr<pattern::Library> Lib = dsl::compileOrDie(R"(
 op Relu(1);
@@ -584,14 +584,14 @@ rule r for P(x) { return Gelu(x); }
 
   struct Combo {
     rewrite::SearchStrategy Search;
-    bool Incremental;
+    bool Batch;
     const char *Label;
   };
   const Combo Combos[] = {
       {rewrite::SearchStrategy::Beam, false, "beam"},
-      {rewrite::SearchStrategy::Beam, true, "beam+incremental"},
+      {rewrite::SearchStrategy::Beam, true, "beam+batch"},
       {rewrite::SearchStrategy::Auto, false, "auto"},
-      {rewrite::SearchStrategy::Auto, true, "auto+incremental"},
+      {rewrite::SearchStrategy::Auto, true, "auto+batch"},
   };
   sim::CostModel CM;
   for (const Combo &C : Combos) {
@@ -602,7 +602,7 @@ rule r for P(x) { return Gelu(x); }
     Opts.BeamWidth = 2;
     Opts.Lookahead = 1;
     Opts.SearchCost = &CM;
-    Opts.Incremental = C.Incremental;
+    Opts.Batch = C.Batch;
     rewrite::RewriteStats Stats =
         rewrite::rewriteToFixpoint(*G, RS, graph::ShapeInference(), Opts);
     EXPECT_EQ(Stats.Status.Code, EngineStatusCode::LintRejected);

@@ -18,8 +18,8 @@
 ///  - AotLowering / PlanExecutorTest: the decoded stream, the μ-unfold
 ///    memo, the budget poll, and a Program copied by value;
 ///  - AotEngine / AotGovernanceStressTest: the engine on a shared
-///    precompiled plan at every thread count, in batched and incremental
-///    modes, and under budgets, quarantine, and injected faults.
+///    precompiled plan at every thread count, with and without batched
+///    discovery, and under budgets, quarantine, and injected faults.
 ///
 /// The suites keep the names of the matchers they were ported from (the
 /// trail-based FastMatcher and the threaded AOT tier, both now this
@@ -476,19 +476,16 @@ TEST(AotLowering, StreamPreservesPCsAndResolvesOperands) {
   }
 }
 
-TEST(AotLowering, FingerprintIsStableAndOpIdSensitive) {
-  // The canonical fingerprint is op-id-independent by design (profiles
-  // survive signature renumbering); the decoded stream is not — it bakes
-  // the concrete operator ids its MatchApp steps compare against.
-  CompiledPipeline A, B;
-  EXPECT_EQ(A.Prog.CanonicalSig, B.Prog.CanonicalSig);
-
+TEST(AotLowering, StreamBakesInRenumberedOpIds) {
+  // The decoded stream bakes the concrete operator ids its MatchApp steps
+  // compare against: the same rule set compiled against a renumbered
+  // signature decodes to the same operator names under different ids.
+  CompiledPipeline A;
   term::Signature SigC;
   SigC.getOrAddOp("zz_renumbering_pad", 3);
   models::declareModelOps(SigC);
   opt::Pipeline PipeC = opt::makePipeline(SigC, opt::OptConfig::Both);
   plan::Program ProgC = plan::PlanBuilder::compile(PipeC.Rules, SigC);
-  EXPECT_EQ(ProgC.CanonicalSig, A.Prog.CanonicalSig);
   ASSERT_EQ(ProgC.Stream.size(), A.Prog.Stream.size());
   size_t Renumbered = 0;
   for (size_t PC = 0; PC != ProgC.Stream.size(); ++PC)
@@ -498,15 +495,6 @@ TEST(AotLowering, FingerprintIsStableAndOpIdSensitive) {
       Renumbered += ProgC.Stream[PC].OpId != A.Prog.Stream[PC].OpId;
     }
   EXPECT_GT(Renumbered, 0u);
-
-  // A different rule set has a different fingerprint.
-  term::Signature SigD;
-  models::declareModelOps(SigD);
-  auto Cublas = opt::compileCublas(SigD);
-  rewrite::RuleSet RSD;
-  RSD.addLibrary(*Cublas);
-  EXPECT_NE(plan::PlanBuilder::compile(RSD, SigD).CanonicalSig,
-            A.Prog.CanonicalSig);
 }
 
 namespace {
@@ -624,7 +612,37 @@ TEST(AotEngine, MuChainPipelineMatchesPlan) {
   }
 }
 
-TEST(AotEngine, BatchedAndIncrementalModesAgree) {
+TEST(AotEngine, AttemptCounterCaveatAcrossMatcherKinds) {
+  // Regression pin for the DESIGN.md caveat: attempt-shaped counters are
+  // comparable within a matcher kind (any thread count, batched or not)
+  // but NOT across kinds — the discrimination tree prefilters attempts the
+  // reference machine's root-op index would have started. What IS invariant
+  // across kinds is the committed sequence and, per pattern, the sum
+  // Attempts + RootSkips (every entry at every visited node is counted
+  // exactly once, as one or the other).
+  auto Suite = models::hfSuite();
+  ASSERT_FALSE(Suite.empty());
+  const models::ModelEntry &Model = Suite.front();
+  RunResult Ref = runModel(Model, machineOpts(0));
+  RunResult Plan = runModel(Model, planOpts(0));
+  expectSameRewrites(Ref, Plan, "machine vs plan committed sequence");
+
+  uint64_t RefAttempts = 0, PlanAttempts = 0;
+  for (const auto &[Name, SP] : Ref.Stats.PerPattern) {
+    SCOPED_TRACE(Name);
+    auto It = Plan.Stats.PerPattern.find(Name);
+    ASSERT_NE(It, Plan.Stats.PerPattern.end());
+    EXPECT_EQ(SP.Attempts + SP.RootSkips,
+              It->second.Attempts + It->second.RootSkips);
+    EXPECT_LE(It->second.Attempts, SP.Attempts);
+    RefAttempts += SP.Attempts;
+    PlanAttempts += It->second.Attempts;
+  }
+  // The caveat is real on this model: the tree prunes strictly more.
+  EXPECT_LT(PlanAttempts, RefAttempts);
+}
+
+TEST(AotEngine, BatchedModeAgrees) {
   auto Suite = models::hfSuite();
   ASSERT_GE(Suite.size(), 3u);
   for (size_t I = 0; I != 3; ++I) {
@@ -634,11 +652,6 @@ TEST(AotEngine, BatchedAndIncrementalModesAgree) {
       Batched.Batch = true;
       expectFullyEqual(Base, runModel(Suite[I], Batched),
                        Suite[I].Name + " batch@" + std::to_string(Threads));
-      rewrite::RewriteOptions Incr = planOpts(Threads);
-      Incr.Incremental = true;
-      expectFullyEqual(Base, runModel(Suite[I], Incr),
-                       Suite[I].Name + " incremental@" +
-                           std::to_string(Threads));
     }
   }
 }
@@ -757,7 +770,7 @@ TEST_P(AotGovernanceStressTest, InjectedFaultsLandIdentically) {
     FaultInjector::Config C;
     C.SiteSeed = Seed * 1000 + 7;
     // Dense schedule: the plan prefilter skips most attempts and sites are
-    // consulted per *attempted* entry (see test_incremental's fault sweep).
+    // consulted per *attempted* entry (see test_batch's fault sweep).
     C.SitePeriod = 5;
     FaultInjector FP(C), F0(C), FN(C);
     rewrite::RewriteOptions OP = planOpts(0), O0 = batchedPlanOpts(0),

@@ -27,7 +27,6 @@
 #include "models/Transformers.h"
 #include "models/Zoo.h"
 #include "opt/StdPatterns.h"
-#include "plan/Profile.h"
 #include "rewrite/RewriteEngine.h"
 #include "support/Random.h"
 
@@ -341,17 +340,8 @@ TEST(CrossMatcherRewrite, RandomDagsAgree) {
 
 TEST(CrossMatcherRewrite, ZooAgreesOnEveryBenchmarkRuleSet) {
   // The benchmark's four rule sets over the whole zoo: both matchers at
-  // every thread count, and the plan with each amortization mode on (at
-  // threads 0 and 4), rewrite exactly what the serial reference machine
-  // does.
-  rewrite::RewriteOptions Modes[3] = {opts(MatcherKind::Plan, 0),
-                                      opts(MatcherKind::Plan, 0),
-                                      opts(MatcherKind::Plan, 0)};
-  Modes[0].Batch = true;
-  Modes[1].Incremental = true;
-  Modes[2].Batch = Modes[2].Incremental = true;
-  const char *const ModeNames[] = {"batch", "incremental",
-                                   "batch+incremental"};
+  // every thread count, and the plan with batched discovery on (at threads
+  // 0 and 4), rewrite exactly what the no-pool reference machine does.
   std::vector<models::ModelEntry> Models = zoo();
   const std::vector<std::string> &Texts = zooTexts();
   for (const char *Name : RuleSetNames) {
@@ -379,18 +369,10 @@ TEST(CrossMatcherRewrite, ZooAgreesOnEveryBenchmarkRuleSet) {
               Label + " matcher=" + std::to_string(int(MK)) +
                   " threads=" + std::to_string(T));
       for (unsigned T : {0u, 4u}) {
-        for (size_t M = 0; M != std::size(Modes); ++M) {
-          rewrite::RewriteOptions O = Modes[M];
-          O.NumThreads = T;
-          pypm::testing::expectSameGraph(Ref, Run(Texts[I], O),
-                                         Label + " plan " + ModeNames[M] +
-                                             " threads=" + std::to_string(T));
-        }
-        plan::Profile Prof;
         rewrite::RewriteOptions O = opts(MatcherKind::Plan, T);
-        O.PlanProfile = &Prof;
+        O.Batch = true;
         pypm::testing::expectSameGraph(Ref, Run(Texts[I], O),
-                                       Label + " plan profiled threads=" +
+                                       Label + " plan batch threads=" +
                                            std::to_string(T));
       }
     }

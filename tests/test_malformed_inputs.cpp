@@ -16,7 +16,6 @@
 #include "pattern/Serializer.h"
 #include "plan/PlanBuilder.h"
 #include "plan/PlanSerializer.h"
-#include "plan/Profile.h"
 #include "rewrite/RewriteEngine.h"
 #include "support/Diagnostics.h"
 #include "term/TermParser.h"
@@ -375,6 +374,20 @@ TEST(MalformedPlanBinary, BadVersionRejected) {
             std::string::npos);
 }
 
+TEST(MalformedPlanBinary, PreviousVersionRejected) {
+  // v3 artifacts carried a profile section; v4 dropped it. A v3 artifact
+  // gets the clean version error, not a misparse of its sections.
+  std::string B = validPlan();
+  ASSERT_EQ(B[4], 4);
+  B[4] = 3;
+  PlanParse P(B);
+  EXPECT_EQ(P.Plan, nullptr);
+  EXPECT_NE(firstError(P.Diags).Message.find("unsupported match plan "
+                                             "version 3"),
+            std::string::npos)
+      << firstError(P.Diags).Message;
+}
+
 TEST(MalformedPlanBinary, TrailingBytesRejected) {
   std::string B = validPlan() + "x";
   PlanParse P(B);
@@ -414,7 +427,7 @@ TEST(MalformedPlanBinary, ImplausibleEntryCountRejected) {
   // far more entries than the buffer could hold.
   std::string Lib = validBinary();
   std::string B = "PYPL";
-  appendU32(B, 3); // plan version
+  appendU32(B, 4); // plan version
   appendU32(B, static_cast<uint32_t>(Lib.size()));
   B += Lib;
   appendU32(B, 0xFFFFFFFFu);
@@ -427,7 +440,7 @@ TEST(MalformedPlanBinary, ImplausibleEntryCountRejected) {
 TEST(MalformedPlanBinary, TruncatedEmbeddedLibraryRejected) {
   std::string Lib = validBinary();
   std::string B = "PYPL";
-  appendU32(B, 3);
+  appendU32(B, 4); // plan version
   appendU32(B, static_cast<uint32_t>(Lib.size() + 64)); // longer than payload
   B += Lib;
   PlanParse P(B);
@@ -437,7 +450,7 @@ TEST(MalformedPlanBinary, TruncatedEmbeddedLibraryRejected) {
 }
 
 //===----------------------------------------------------------------------===//
-// Confluence certificates (standalone codec + the .pypmplan v3 section)
+// Confluence certificates (standalone codec + the .pypmplan section)
 //===----------------------------------------------------------------------===//
 
 /// A certificate with every section populated: a conflicting pair (so
@@ -536,7 +549,7 @@ TEST(MalformedConfluence, ImplausibleCountsRejected) {
 }
 
 /// A .pypmplan with an embedded confluence certificate, produced by the
-/// real writer — the v3 section under attack below.
+/// real writer — the confluence section under attack below.
 std::string validPlanWithConfluence() {
   term::Signature Sig;
   auto Lib = dsl::compileOrDie("op Relu(1);\n"
@@ -546,8 +559,8 @@ std::string validPlanWithConfluence() {
   analysis::critical::ConfluenceReport CR =
       analysis::critical::analyzeConfluence(*Lib, Sig);
   DiagnosticEngine Diags;
-  std::string Bytes = plan::serializePlan(*Lib, Sig, /*RulesOnly=*/true,
-                                          Diags, nullptr, &CR);
+  std::string Bytes =
+      plan::serializePlan(*Lib, Sig, /*RulesOnly=*/true, Diags, &CR);
   EXPECT_FALSE(Diags.hasErrors()) << Diags.renderAll();
   return Bytes;
 }
@@ -607,210 +620,6 @@ TEST(MalformedPlanConfluence, SingleByteCorruptionNeverCrashes) {
     PlanParse P(B);
     if (!P.Plan) {
       EXPECT_TRUE(P.Diags.hasErrors());
-    }
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// Match profile binary (.pypmprof)
-//===----------------------------------------------------------------------===//
-
-/// A profile bound to the plan compiled from \p Source, with
-/// deterministic non-trivial counters. Returned alongside its plan so
-/// tests can cross-check signatures.
-plan::Profile profileFor(const char *Source, term::Signature &Sig) {
-  auto Lib = dsl::compileOrDie(Source, Sig);
-  rewrite::RuleSet Rules;
-  Rules.addLibrary(*Lib);
-  plan::Program P = plan::PlanBuilder::compile(Rules, Sig);
-  plan::Profile Prof;
-  EXPECT_TRUE(Prof.bindTo(P));
-  for (size_t I = 0; I != Prof.GroupVisits.size(); ++I)
-    Prof.GroupVisits[I] = 10 + I;
-  for (size_t I = 0; I != Prof.EdgeHits.size(); ++I)
-    Prof.EdgeHits[I] = 3 + I;
-  for (size_t I = 0; I != Prof.EntryAttempts.size(); ++I) {
-    Prof.EntryAttempts[I] = 7 + I;
-    Prof.EntryMatches[I] = 2 + I;
-  }
-  Prof.Traversals = 42;
-  return Prof;
-}
-
-constexpr const char *kProfileSource =
-    "op Relu(1);\n"
-    "pattern RR(x) { return Relu(Relu(x)); }\n"
-    "rule rr for RR(x) { return Relu(x); }\n";
-
-std::string validProfile() {
-  term::Signature Sig;
-  return plan::serializeProfile(profileFor(kProfileSource, Sig));
-}
-
-struct ProfileParse {
-  std::unique_ptr<plan::Profile> Prof;
-  DiagnosticEngine Diags;
-
-  explicit ProfileParse(std::string_view Bytes) {
-    Prof = plan::deserializeProfile(Bytes, Diags);
-  }
-};
-
-TEST(MalformedProfileBinary, ValidProfileRoundTrips) {
-  term::Signature Sig;
-  plan::Profile Orig = profileFor(kProfileSource, Sig);
-  ProfileParse P(plan::serializeProfile(Orig));
-  ASSERT_NE(P.Prof, nullptr);
-  EXPECT_FALSE(P.Diags.hasErrors());
-  EXPECT_EQ(*P.Prof, Orig);
-}
-
-TEST(MalformedProfileBinary, BadMagicRejected) {
-  std::string B = validProfile();
-  B[0] = 'X';
-  ProfileParse P(B);
-  EXPECT_EQ(P.Prof, nullptr);
-  EXPECT_NE(firstError(P.Diags).Message.find("bad magic"), std::string::npos);
-}
-
-TEST(MalformedProfileBinary, BadVersionRejected) {
-  std::string B = validProfile();
-  B[4] = 99; // version u32 lives at offset 4
-  ProfileParse P(B);
-  EXPECT_EQ(P.Prof, nullptr);
-  EXPECT_NE(firstError(P.Diags).Message.find("unsupported match profile"),
-            std::string::npos);
-}
-
-TEST(MalformedProfileBinary, TrailingBytesRejected) {
-  std::string B = validProfile() + "x";
-  ProfileParse P(B);
-  EXPECT_EQ(P.Prof, nullptr);
-  EXPECT_NE(firstError(P.Diags).Message.find("trailing bytes"),
-            std::string::npos);
-}
-
-TEST(MalformedProfileBinary, ImplausibleCounterCountRejected) {
-  std::string B = "PYPF";
-  appendU32(B, 1); // profile version
-  B.append(16, '\0'); // planSignature + traversals
-  appendU32(B, 0xFFFFFFFFu); // entry count far beyond the buffer
-  ProfileParse P(B);
-  EXPECT_EQ(P.Prof, nullptr);
-  EXPECT_NE(firstError(P.Diags).Message.find("implausible counter count"),
-            std::string::npos);
-}
-
-TEST(MalformedProfileBinary, EveryPrefixTruncationFailsCleanly) {
-  const std::string Valid = validProfile();
-  for (size_t Len = 0; Len != Valid.size(); ++Len) {
-    SCOPED_TRACE(Len);
-    ProfileParse P(std::string_view(Valid).substr(0, Len));
-    EXPECT_EQ(P.Prof, nullptr);
-    EXPECT_TRUE(P.Diags.hasErrors());
-  }
-}
-
-TEST(MalformedProfileBinary, SingleByteCorruptionAlwaysRejected) {
-  // Stronger than the .pypmplan corruption test: a profile cannot be
-  // re-derived from an embedded library, so the checksum must catch
-  // *every* corruption outright. FNV-1a's per-byte multiply is invertible
-  // (odd prime mod 2^64), so any single-byte flip changes the checksum —
-  // and a flip inside the checksum field no longer matches the payload.
-  const std::string Valid = validProfile();
-  for (size_t I = 0; I != Valid.size(); ++I) {
-    SCOPED_TRACE(I);
-    std::string B = Valid;
-    B[I] = static_cast<char>(~B[I]);
-    ProfileParse P(B);
-    EXPECT_EQ(P.Prof, nullptr);
-    EXPECT_TRUE(P.Diags.hasErrors());
-  }
-}
-
-TEST(MalformedProfileBinary, SerializePlanRejectsForeignProfile) {
-  // A profile recorded against a different rule set must be rejected when
-  // embedding — reject-don't-misbind.
-  term::Signature ProfSig;
-  plan::Profile Foreign =
-      profileFor("op Add(2);\n"
-                 "op Mul(2);\n"
-                 "pattern AM(x, y, z) { return Add(Mul(x, y), z); }\n"
-                 "rule am for AM(x, y, z) { return Add(z, Mul(x, y)); }\n",
-                 ProfSig);
-
-  term::Signature Sig;
-  auto Lib = dsl::compileOrDie(kProfileSource, Sig);
-  DiagnosticEngine Diags;
-  std::string Bytes =
-      plan::serializePlan(*Lib, Sig, /*RulesOnly=*/true, Diags, &Foreign);
-  EXPECT_TRUE(Bytes.empty());
-  EXPECT_NE(firstError(Diags).Message.find("profile does not match"),
-            std::string::npos);
-}
-
-TEST(MalformedProfileBinary, EmbeddedForeignProfileRejectedByLoader) {
-  // Hand-splice an internally valid (checksummed) but foreign profile into
-  // a valid v2 plan artifact: the loader's bind check must reject it — the
-  // checksum alone cannot vouch that a profile belongs to *this* plan.
-  term::Signature ProfSig;
-  plan::Profile Foreign =
-      profileFor("op Add(2);\n"
-                 "op Mul(2);\n"
-                 "pattern AM(x, y, z) { return Add(Mul(x, y), z); }\n"
-                 "rule am for AM(x, y, z) { return Add(z, Mul(x, y)); }\n",
-                 ProfSig);
-  std::string ProfBytes = plan::serializeProfile(Foreign);
-
-  std::string B = validPlan();
-  ASSERT_EQ(B.back(), '\0'); // trailing hasConfluence flag of a plain plan
-  B.pop_back();              // peel it; the profile section precedes it
-  ASSERT_EQ(B.back(), '\0'); // hasProfile flag
-  B.back() = '\x01';
-  appendU32(B, static_cast<uint32_t>(ProfBytes.size()));
-  B += ProfBytes;
-  B.push_back('\0'); // restore the confluence-absent flag
-  PlanParse P(B);
-  EXPECT_EQ(P.Plan, nullptr);
-  EXPECT_NE(firstError(P.Diags).Message.find(
-                "embedded profile does not match the plan"),
-            std::string::npos);
-}
-
-TEST(MalformedProfileBinary, PlanWithProfileRoundTrips) {
-  // The positive control for the two rejection tests above: a profile
-  // recorded against the same library embeds and round-trips, and the
-  // loaded program is profile-ordered.
-  term::Signature ProfSig;
-  plan::Profile Prof = profileFor(kProfileSource, ProfSig);
-
-  term::Signature Sig;
-  auto Lib = dsl::compileOrDie(kProfileSource, Sig);
-  DiagnosticEngine Diags;
-  std::string Bytes =
-      plan::serializePlan(*Lib, Sig, /*RulesOnly=*/true, Diags, &Prof);
-  ASSERT_FALSE(Bytes.empty()) << Diags.renderAll();
-
-  PlanParse P(Bytes);
-  ASSERT_NE(P.Plan, nullptr) << P.Diags.renderAll();
-  ASSERT_NE(P.Plan->Prof, nullptr);
-  EXPECT_EQ(*P.Plan->Prof, Prof);
-  EXPECT_TRUE(P.Plan->Prog.ProfileApplied);
-
-  // Truncating or corrupting any byte of the embedded profile region must
-  // reject the whole artifact (the plan part is still re-derivable, but a
-  // wrong profile must never ride along silently).
-  for (size_t I = validPlan().size(); I < Bytes.size(); ++I) {
-    SCOPED_TRACE(I);
-    std::string C = Bytes;
-    C[I] = static_cast<char>(~C[I]);
-    PlanParse Q(C);
-    if (!Q.Plan) {
-      EXPECT_TRUE(Q.Diags.hasErrors());
-    } else {
-      // A flip that survives must have produced a *valid* profile that
-      // still binds; paranoia: the program remains a faithful recompile.
-      EXPECT_TRUE(Q.Plan->Prog.ProfileApplied);
     }
   }
 }

@@ -259,8 +259,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MatchPlanRandomTest,
 // Engine-level equivalence
 //===----------------------------------------------------------------------===//
 
-// Zoo-differential scaffolding shared with test_planprofile.cpp and
-// test_incremental.cpp.
+// Zoo-differential scaffolding shared with test_batch.cpp.
 using pypm::testing::expectFullyEqual;
 using pypm::testing::expectSameRewrites;
 using pypm::testing::machineOpts;

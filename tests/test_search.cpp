@@ -18,8 +18,8 @@
 ///
 ///  (c) COMPOSITION. Search composes with the governance surface — budget
 ///      ceilings, quarantine, injected faults, HaltOnFault, MaxRewrites —
-///      and with the discovery modes (Batch, Incremental, precompiled
-///      plans), deterministically at every thread count: worker threads
+///      and with the discovery modes (Batch, precompiled plans),
+///      deterministically at every thread count: worker threads
 ///      only price hermetic clones, so nothing observable may move.
 ///
 //===----------------------------------------------------------------------===//
@@ -746,10 +746,9 @@ TEST(SearchStressFaults, SiteScheduleIsThreadInvariantUnderBeam) {
   }
 }
 
-/// Discovery-mode composition under beam search: Batch sweeps and the
-/// Incremental flag (a no-op in search mode — every sweep re-enumerates)
-/// must not change any committed observable.
-TEST(SearchStressCompose, BatchAndIncrementalAreObservationallyInert) {
+/// Discovery-mode composition under beam search: Batch sweeps must not
+/// change any committed observable.
+TEST(SearchStressCompose, BatchIsObservationallyInert) {
   for (uint64_t Seed : {0u, 7u, 23u}) {
     RewriteOptions Base;
     Base.Search = SearchStrategy::Beam;
@@ -764,11 +763,6 @@ TEST(SearchStressCompose, BatchAndIncrementalAreObservationallyInert) {
     StressOutcome B = runStressCase(Seed, Batched);
     expectOutcomesEqual(Plain, B, stressRepro(Seed, "beam batch-on"));
     EXPECT_GT(B.Stats.BatchedNodes, 0u);
-
-    RewriteOptions Inc = Base;
-    Inc.Incremental = true;
-    expectOutcomesEqual(Plain, runStressCase(Seed, Inc),
-                        stressRepro(Seed, "beam incremental-on"));
   }
 }
 

@@ -29,6 +29,7 @@
 #include "models/Transformers.h"
 #include "plan/PlanBuilder.h"
 #include "support/FaultInjection.h"
+#include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
@@ -143,7 +144,7 @@ TEST(ServerProtocol, RewriteRequestRoundTrips) {
   R.MaxRewrites = 3;
   R.Threads = 2;
   R.Matcher = 3;
-  R.Incremental = true;
+  R.Batch = true;
   R.FaultSiteSeed = 5;
   R.FaultSitePeriod = 11;
   R.Search = 2;
@@ -197,6 +198,73 @@ TEST(ServerProtocol, RewriteRequestRejectsRetiredMatcherValues) {
   EXPECT_EQ(decodeReplyOrDie(Replies[0]).Status,
             ServerStatus::MalformedRequest);
   Srv.stop();
+}
+
+/// Byte offset of the Flags byte in an encoded rewrite request body: tag,
+/// seq, named flag, the two length-prefixed strings, four u64 limits, the
+/// u32 thread count, and the matcher byte precede it.
+static size_t flagsOffset(const RewriteRequest &R) {
+  return 1 + 8 + 1 + (4 + R.RuleSet.size()) + (4 + R.GraphText.size()) +
+         4 * 8 + 4 + 1;
+}
+
+TEST(ServerProtocol, RewriteRequestRejectsRetiredIncrementalFlag) {
+  // Flags bit 0 named the retired incremental memo; bit 1 (batch) is the
+  // only defined bit. A body that sets bit 0, alone or with batch, or any
+  // higher bit, is malformed.
+  RewriteRequest R = basicRequest(11);
+  const std::string Good = encodeRewriteRequest(R);
+  const size_t At = flagsOffset(R);
+  ASSERT_EQ(Good[At], 0);
+  for (uint8_t Flags : {2, 1, 3, 4, 0x80}) {
+    std::string Body = Good;
+    Body[At] = static_cast<char>(Flags);
+    RewriteRequest Out;
+    std::string Err;
+    bool Ok = decodeRewriteRequest(Body, Out, Err);
+    if (Flags == 2) {
+      EXPECT_TRUE(Ok) << Err;
+      EXPECT_TRUE(Out.Batch);
+      continue;
+    }
+    EXPECT_FALSE(Ok) << "flags " << int(Flags);
+    EXPECT_NE(Err.find("out of range"), std::string::npos) << Err;
+  }
+  // Over the framed pipeline the rejection is a MalformedRequest reply.
+  std::string Body = Good;
+  Body[At] = 1;
+  Server Srv(ServerOptions{});
+  std::vector<std::string> Replies;
+  EXPECT_TRUE(scriptConnection(Srv, frameBytes(/*Request=*/true, Body),
+                               Replies));
+  ASSERT_EQ(Replies.size(), 1u);
+  EXPECT_EQ(decodeReplyOrDie(Replies[0]).Status,
+            ServerStatus::MalformedRequest);
+  Srv.stop();
+}
+
+TEST(ServerProtocol, RewriteRequestRejectsUnboundedThreadCounts) {
+  // The decoder bounds Threads by kMaxPoolThreads, so no request can make
+  // the daemon spawn more workers than that. Decode only: nothing here
+  // reaches an engine.
+  for (uint32_t T : {0u, 1u, kMaxPoolThreads}) {
+    RewriteRequest R = basicRequest(12);
+    R.Threads = T;
+    RewriteRequest Out;
+    std::string Err;
+    EXPECT_TRUE(decodeRewriteRequest(encodeRewriteRequest(R), Out, Err))
+        << "threads " << T << ": " << Err;
+    EXPECT_EQ(Out.Threads, T);
+  }
+  for (uint32_t T : {kMaxPoolThreads + 1, 257u, UINT32_MAX}) {
+    RewriteRequest R = basicRequest(12);
+    R.Threads = T;
+    RewriteRequest Out;
+    std::string Err;
+    EXPECT_FALSE(decodeRewriteRequest(encodeRewriteRequest(R), Out, Err))
+        << "threads " << T;
+    EXPECT_NE(Err.find("out of range"), std::string::npos) << Err;
+  }
 }
 
 TEST(ServerProtocol, RewriteReplyRoundTrips) {
@@ -603,6 +671,55 @@ TEST(ServerCache, TruncatedDiskEntryIsMissAndRepaired) {
   }
 }
 
+/// An entry written in the previous .pypmplan format (v3, which carried a
+/// profile section) gets the loader's clean version error: the disk tier
+/// treats it as a miss, recompiles, and rewrites the entry as v4.
+TEST(ServerCache, PreviousFormatEntryIsRebuilt) {
+  TempDir Dir;
+  PlanCache::Options CO;
+  CO.Dir = Dir.Path;
+  PlanCache Cache(CO);
+  DiagnosticEngine Diags;
+  CacheSource Src;
+  auto E = Cache.acquire(kRules, Diags, Src);
+  ASSERT_TRUE(E);
+  char Name[32];
+  std::snprintf(Name, sizeof(Name), "%016llx.pypmplan",
+                (unsigned long long)E->Key);
+  const std::string Path = Dir.Path + "/" + Name;
+  std::string Artifact;
+  {
+    std::ifstream In(Path, std::ios::binary);
+    ASSERT_TRUE(In.good());
+    std::ostringstream Buf;
+    Buf << In.rdbuf();
+    Artifact = Buf.str();
+  }
+  ASSERT_GT(Artifact.size(), 8u);
+  ASSERT_EQ(Artifact[4], 4) << "version u32 lives at offset 4";
+  // A v3 header: the loader stops at the version word, before any section.
+  std::string V3 = Artifact;
+  V3[4] = 3;
+  {
+    std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
+    Out.write(V3.data(), static_cast<std::streamsize>(V3.size()));
+  }
+  Cache.flushMemory();
+  uint64_t CorruptBefore = Cache.stats().CorruptDiskEntries;
+  auto R = Cache.acquire(kRules, Diags, Src);
+  ASSERT_TRUE(R) << Diags.renderAll();
+  EXPECT_EQ(Src, CacheSource::Compiled) << "v3 entry served";
+  EXPECT_EQ(Cache.stats().CorruptDiskEntries, CorruptBefore + 1);
+  Cache.flushMemory();
+  auto R2 = Cache.acquire(kRules, Diags, Src);
+  ASSERT_TRUE(R2);
+  EXPECT_EQ(Src, CacheSource::Disk) << "entry was not rebuilt";
+  std::ifstream In(Path, std::ios::binary);
+  std::ostringstream Buf;
+  Buf << In.rdbuf();
+  EXPECT_EQ(Buf.str(), Artifact);
+}
+
 /// A valid artifact filed under the wrong name (or a key collision) must
 /// not be served: the key is re-derived from the content on load.
 TEST(ServerCache, WrongNameArtifactIsMiss) {
@@ -807,7 +924,6 @@ RewriteRequest stressRequest(uint64_t Seed) {
   const uint8_t Matchers[] = {0, 1, 3, 3}; // default/machine/plan/plan
   R.Matcher = Matchers[Seed % 4];
   R.Threads = static_cast<uint32_t>(Seed % 3);
-  R.Incremental = (Seed % 5) == 0;
   R.Batch = (Seed % 7) == 0;
   // Seeds drawing the ping-pong template pair only terminate via the
   // rewrite limit (StressHarness.h); cap every request identically so the
@@ -844,7 +960,6 @@ SingleShot singleShot(const RewriteRequest &R) {
   O.NumThreads = R.Threads;
   O.Matcher = R.Matcher == 1 ? rewrite::MatcherKind::Machine
                              : rewrite::MatcherKind::Plan;
-  O.Incremental = R.Incremental;
   O.Batch = R.Batch;
   if (R.MaxRewrites)
     O.MaxRewrites = R.MaxRewrites;

@@ -12,7 +12,7 @@
 # (everything but the 50-seed × thread-count sweeps) and "stress" (suites
 # named *Stress*). The quick default runs tier1 in every build flavor;
 # nightly mode (--nightly, or PYPM_CI_NIGHTLY=1) runs the full suite —
-# both tiers — everywhere, which is where the incremental/batched
+# both tiers — everywhere, which is where the batched and thread-count
 # differential sweeps earn their keep.
 #
 # Usage: tools/ci.sh [--nightly] [jobs]
@@ -67,33 +67,17 @@ echo "=== plan-matcher suites under ASan/UBSan ==="
 ./build-ci-asan/tests/pypm_tests \
   --gtest_filter='*MatchPlan*:MalformedPlanBinary.*'
 
-# Profile-guided ordering gets the same treatment: the differential
-# profiling suite plus the .pypmprof hostile-input corpus under
-# ASan/UBSan (serializer + applyProfile allocate and permute), and the
-# differential suite alone under TSan — per-worker traversal traces are
-# recorded during parallel discovery and merged at commit, which is
-# exactly the cross-thread handoff a race would corrupt.
-echo "=== profiled-plan suites under ASan/UBSan ==="
-./build-ci-asan/tests/pypm_tests \
-  --gtest_filter='*PlanProfile*:MalformedProfileBinary.*'
+# Batched discovery: the pass-start candidate masks are per-pass mutable
+# state shared read-only with the discovery workers and invalidated by
+# commit, so the Batch* suites run under both sanitizers — TSan for the
+# frozen-mask handoff across workers, ASan/UBSan for the row bookkeeping.
+# Tier-1 members ran in ctest above; the quick default re-runs them
+# filtered so the batched legs stay greppable.
+echo "=== batched suites under ASan/UBSan ==="
+./build-ci-asan/tests/pypm_tests --gtest_filter='Batch*'
 
-echo "=== profiled-plan suites under TSan ==="
-./build-ci-tsan/tests/pypm_tests \
-  --gtest_filter='*PlanProfile*'
-
-# Batched + incremental discovery: the dirty-region memo and the batched
-# candidate masks are per-pass mutable state threaded through the parallel
-# engine, so the differential suite runs under both sanitizers — TSan for
-# the frozen-mask/memo handoff across workers, ASan/UBSan for the memo
-# record/replay lifetime. Tier-1 members ran in ctest above; the quick
-# default re-runs them filtered so the incremental legs stay greppable.
-echo "=== incremental/batched suites under ASan/UBSan ==="
-./build-ci-asan/tests/pypm_tests \
-  --gtest_filter='IncrementalEngine.*:BatchCandidates.*:BatchMatchers.*'
-
-echo "=== incremental/batched suites under TSan ==="
-./build-ci-tsan/tests/pypm_tests \
-  --gtest_filter='IncrementalEngine.*:BatchCandidates.*:BatchMatchers.*'
+echo "=== batched suites under TSan ==="
+./build-ci-tsan/tests/pypm_tests --gtest_filter='Batch*'
 
 # Fire-local commit: the engine's term view persists across fires (per-node
 # memo, per-term and per-operator chains, an open-addressed head table)
@@ -223,12 +207,11 @@ for RS in algebra transpose epilog_fusion; do
   cmp "$SMOKE/$RS.plan.pypmg" "$SMOKE/$RS.dynamic.pypmg"
 done
 
-# Smoke-sized batched/incremental benchmark: exercises the sweep driver
-# end to end and sanity-checks that the modes actually amortize (the
-# committed BENCH_incremental_sweep.json is produced by a full-size run).
-echo "=== incremental-sweep benchmark (smoke) ==="
-./build-ci/bench/bench_partitioning --incremental-sweep --smoke \
-  >/dev/null
+# Smoke-sized batched benchmark: exercises the sweep driver end to end and
+# re-checks batched ≡ per-root match counts (the committed
+# BENCH_batch_sweep.json is produced by a full-size run).
+echo "=== batch-sweep benchmark (smoke) ==="
+./build-ci/bench/bench_partitioning --batch-sweep --smoke >/dev/null
 
 # Daemon warm-vs-cold sweep (smoke): the plan-cache tiers must actually
 # pay off, and the sweep driver itself is exercised end to end (the

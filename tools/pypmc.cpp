@@ -37,13 +37,13 @@
 #include "pattern/Serializer.h"
 #include "plan/PlanBuilder.h"
 #include "plan/PlanSerializer.h"
-#include "plan/Profile.h"
 #include "rewrite/RewriteEngine.h"
 #include "server/PlanCache.h"
 #include "sim/CostModel.h"
 #include "term/TermParser.h"
 
 #include "support/Budget.h"
+#include "support/ThreadPool.h"
 
 #include <csignal>
 #include <cstdio>
@@ -60,7 +60,6 @@ int usage() {
                "usage: pypmc compile <file.pypm> -o <file.pypmbin>\n"
                "       pypmc compile-plan <file.pypm|file.pypmbin> "
                "-o <file.pypmplan> [--emit-plan]\n"
-               "                     [--profile=<file.pypmprof>]\n"
                "       pypmc check   <file.pypm>\n"
                "       pypmc lint    <file.pypm|file.pypmbin|file.pypmplan> "
                "[--json] [--notes] [--critical-pairs]\n"
@@ -75,9 +74,7 @@ int usage() {
                "[--stats-json]\n"
                "                     [--matcher=machine|plan] "
                "[--emit-plan] [--lint]\n"
-               "                     [--incremental] [--batch] "
-               "[--profile-out=<file.pypmprof>]\n"
-               "                     [--plan-cache-dir=<dir>]\n"
+               "                     [--batch] [--plan-cache-dir=<dir>]\n"
                "                     [--search=greedy|best-of-n|beam|auto] "
                "[--beam-width=N] [--lookahead=N]\n"
                "                     [--search-witnesses=N]\n"
@@ -176,15 +173,15 @@ int cmdCompile(int Argc, char **Argv) {
 }
 
 int cmdCompilePlan(int Argc, char **Argv) {
-  const char *In = nullptr, *Out = nullptr, *ProfilePath = nullptr;
+  const char *In = nullptr, *Out = nullptr;
   bool EmitPlan = false;
   for (int I = 0; I != Argc; ++I) {
     if (std::strcmp(Argv[I], "-o") == 0 && I + 1 != Argc)
       Out = Argv[++I];
     else if (std::strcmp(Argv[I], "--emit-plan") == 0)
       EmitPlan = true;
-    else if (std::strncmp(Argv[I], "--profile=", 10) == 0)
-      ProfilePath = Argv[I] + 10;
+    else if (std::strncmp(Argv[I], "--", 2) == 0)
+      return usage(); // unknown option
     else if (!In)
       In = Argv[I];
     else
@@ -199,23 +196,6 @@ int cmdCompilePlan(int Argc, char **Argv) {
   if (!Lib)
     return RC;
 
-  // An offline-recorded .pypmprof (see `pypmc rewrite --profile-out=`) is
-  // embedded into the artifact; the loader re-derives the profile-guided
-  // ordering from it. The hardened reader and the signature check against
-  // the compiled plan both run before anything is written.
-  std::unique_ptr<plan::Profile> Prof;
-  if (ProfilePath) {
-    std::string ProfBytes;
-    if (!readFile(ProfilePath, ProfBytes))
-      return 1;
-    DiagnosticEngine ProfDiags;
-    Prof = plan::deserializeProfile(ProfBytes, ProfDiags);
-    if (!Prof) {
-      std::fprintf(stderr, "%s", ProfDiags.renderAll().c_str());
-      return 1;
-    }
-  }
-
   // Every artifact carries its confluence certificate: a cached plan can
   // answer `--search=auto` without re-running the analysis, and a lint of
   // the artifact reports the verdict the producer saw.
@@ -225,8 +205,8 @@ int cmdCompilePlan(int Argc, char **Argv) {
   DiagnosticEngine Diags;
   // RulesOnly mirrors `pypmc rewrite`'s RuleSet::addLibrary default:
   // match-only patterns are not part of the rewrite rule set.
-  std::string Bytes = plan::serializePlan(*Lib, Sig, /*RulesOnly=*/true, Diags,
-                                          Prof.get(), &Confluence);
+  std::string Bytes =
+      plan::serializePlan(*Lib, Sig, /*RulesOnly=*/true, Diags, &Confluence);
   std::fprintf(stderr, "%s", Diags.renderAll().c_str());
   if (Bytes.empty())
     return 1;
@@ -251,10 +231,10 @@ int cmdCompilePlan(int Argc, char **Argv) {
   }
   plan::ProgramInfo Info = LP->Prog.info();
   std::printf("wrote %s: %zu bytes, %zu entr%s, %zu instruction(s), "
-              "%zu tree node(s)%s, confluence: %s\n",
+              "%zu tree node(s), confluence: %s\n",
               Out, Bytes.size(), LP->Prog.Entries.size(),
               LP->Prog.Entries.size() == 1 ? "y" : "ies", Info.Instrs,
-              Info.TreeNodes, LP->Prof ? ", profile-ordered" : "",
+              Info.TreeNodes,
               LP->Confluence
                   ? std::string(analysis::critical::verdictName(
                                     LP->Confluence->Overall))
@@ -593,25 +573,29 @@ std::string speedupText(double Before, double After) {
 
 int cmdRewrite(int Argc, char **Argv) {
   const char *Patterns = nullptr, *GraphPath = nullptr, *Out = nullptr;
-  const char *ProfileOut = nullptr;
   const char *PlanCacheDir = nullptr;
   unsigned Threads = 0;
   double BudgetMs = 0;
   uint64_t MaxSteps = 0;
   bool StatsJson = false, EmitPlan = false, Lint = false;
-  bool Incremental = false, Batch = false;
+  bool Batch = false;
   rewrite::MatcherKind Matcher = rewrite::MatcherKind::Plan;
   rewrite::SearchStrategy Search = rewrite::SearchStrategy::Greedy;
   unsigned BeamWidth = 4, Lookahead = 1, SearchWitnesses = 4;
   for (int I = 0; I != Argc; ++I) {
     if (std::strcmp(Argv[I], "-o") == 0 && I + 1 != Argc)
       Out = Argv[++I];
-    else if (std::strncmp(Argv[I], "--profile-out=", 14) == 0)
-      ProfileOut = Argv[I] + 14;
     else if (std::strncmp(Argv[I], "--plan-cache-dir=", 17) == 0)
       PlanCacheDir = Argv[I] + 17;
-    else if (std::strcmp(Argv[I], "--threads") == 0 && I + 1 != Argc)
-      Threads = static_cast<unsigned>(std::strtoul(Argv[++I], nullptr, 10));
+    else if (std::strcmp(Argv[I], "--threads") == 0 && I + 1 != Argc) {
+      std::optional<unsigned> N = parseThreadCount(Argv[++I]);
+      if (!N) {
+        std::fprintf(stderr, "pypmc: --threads wants an integer in 0..%u\n",
+                     kMaxPoolThreads);
+        return usage();
+      }
+      Threads = *N;
+    }
     else if (std::strcmp(Argv[I], "--budget-ms") == 0 && I + 1 != Argc)
       BudgetMs = std::strtod(Argv[++I], nullptr);
     else if (std::strcmp(Argv[I], "--max-steps") == 0 && I + 1 != Argc)
@@ -622,8 +606,6 @@ int cmdRewrite(int Argc, char **Argv) {
       EmitPlan = true;
     else if (std::strcmp(Argv[I], "--lint") == 0)
       Lint = true;
-    else if (std::strcmp(Argv[I], "--incremental") == 0)
-      Incremental = true;
     else if (std::strcmp(Argv[I], "--batch") == 0)
       Batch = true;
     else if (std::strncmp(Argv[I], "--matcher=", 10) == 0) {
@@ -653,6 +635,8 @@ int cmdRewrite(int Argc, char **Argv) {
     else if (std::strncmp(Argv[I], "--search-witnesses=", 19) == 0)
       SearchWitnesses =
           static_cast<unsigned>(std::strtoul(Argv[I] + 19, nullptr, 10));
+    else if (std::strncmp(Argv[I], "--", 2) == 0)
+      return usage(); // unknown option
     else if (!Patterns)
       Patterns = Argv[I];
     else if (!GraphPath)
@@ -717,15 +701,14 @@ int cmdRewrite(int Argc, char **Argv) {
 
   sim::CostModel CM;
   double Before = CM.graphCost(*G).Seconds;
-  // --threads N selects the parallel-discovery engine; the rewritten
-  // graph is identical to the serial (default) engine's at any N.
+  // --threads N gives the pass loop a discovery pool of N workers; the
+  // rewritten graph is identical to the default (no pool) run's at any N.
   rewrite::RewriteOptions Opts;
   Opts.NumThreads = Threads;
   Opts.Matcher = Matcher;
   Opts.Lint = Lint;
-  // Both are pure amortization modes: the rewritten graph and all
-  // committed stats are bit-identical with or without them.
-  Opts.Incremental = Incremental;
+  // A pure amortization mode: the rewritten graph and all committed stats
+  // are bit-identical with or without it.
   Opts.Batch = Batch;
   // --search= selects cost-directed commit ordering; the CLI's own cost
   // model (the one reporting "simulated time" below) prices candidates, so
@@ -754,13 +737,6 @@ int cmdRewrite(int Argc, char **Argv) {
   if (EmitPlan)
     std::fprintf(stderr, "%s", Plan->disassemble(Sig).c_str());
 
-  // --profile-out: record committed-order traversal/attempt counters into
-  // an empty profile (it binds to whatever plan the run uses) and write
-  // the hardened .pypmprof artifact after the run.
-  plan::Profile RecordedProf;
-  if (ProfileOut)
-    Opts.PlanProfile = &RecordedProf;
-
   BudgetLimits Limits;
   Limits.DeadlineSeconds = BudgetMs / 1e3;
   Limits.MaxTotalSteps = MaxSteps;
@@ -777,27 +753,6 @@ int cmdRewrite(int Argc, char **Argv) {
   double After = CM.graphCost(*G).Seconds;
   std::fprintf(stderr, "%s", Diags.renderAll().c_str());
 
-  if (ProfileOut) {
-    if (RecordedProf.empty()) {
-      std::fprintf(stderr,
-                   "pypmc: no profile recorded (plan matcher not active, or "
-                   "the run halted before the plan was used); not writing "
-                   "'%s'\n",
-                   ProfileOut);
-      return 1;
-    }
-    std::string ProfBytes = plan::serializeProfile(RecordedProf);
-    std::ofstream ProfFile(ProfileOut, std::ios::binary);
-    if (!ProfFile ||
-        !ProfFile.write(ProfBytes.data(),
-                        static_cast<std::streamsize>(ProfBytes.size()))) {
-      std::fprintf(stderr, "pypmc: cannot write '%s'\n", ProfileOut);
-      return 1;
-    }
-    std::fprintf(stderr, "wrote %s: %zu bytes, %llu traversal(s)\n",
-                 ProfileOut, ProfBytes.size(),
-                 static_cast<unsigned long long>(RecordedProf.Traversals));
-  }
   std::fprintf(stderr, "%s\nsimulated time: %.3fms -> %.3fms (%s)\n",
                Stats.summary().c_str(), Before * 1e3, After * 1e3,
                speedupText(Before, After).c_str());
@@ -809,8 +764,7 @@ int cmdRewrite(int Argc, char **Argv) {
     // (tests/CMakeLists.txt pins this with rewrite_stats_json_schema).
     std::fprintf(stderr,
                  "{\"engine\":%s,\"passes\":%llu,\"fired\":%llu,"
-                 "\"matches\":%llu,\"nodes\":%zu,\"memoHits\":%llu,"
-                 "\"memoMisses\":%llu,\"batchedNodes\":%llu,"
+                 "\"matches\":%llu,\"nodes\":%zu,\"batchedNodes\":%llu,"
                  "\"planCompileSeconds\":%.6f,"
                  "\"searchSteps\":%llu,\"searchCandidates\":%llu,"
                  "\"searchExpansions\":%llu,"
@@ -820,8 +774,6 @@ int cmdRewrite(int Argc, char **Argv) {
                  static_cast<unsigned long long>(Stats.TotalFired),
                  static_cast<unsigned long long>(Stats.TotalMatches),
                  G->numLiveNodes(),
-                 static_cast<unsigned long long>(Stats.MemoHits),
-                 static_cast<unsigned long long>(Stats.MemoMisses),
                  static_cast<unsigned long long>(Stats.BatchedNodes),
                  Stats.PlanCompileSeconds,
                  static_cast<unsigned long long>(Stats.SearchSteps),

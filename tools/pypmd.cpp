@@ -41,6 +41,7 @@
 #include "server/Server.h"
 #include "support/Budget.h"
 #include "support/Shutdown.h"
+#include "support/ThreadPool.h"
 
 #include <csignal>
 #include <cstdio>
@@ -71,8 +72,8 @@ int usage() {
       "<graph.pypmg>\n"
       "                   [--seq N] [--deadline-us N] [--max-steps N]\n"
       "                   [--max-mu N] [--max-rewrites N] [--threads N]\n"
-      "                   [--matcher=machine|plan] [--incremental]\n"
-      "                   [--batch] [--fault-seed N] [--fault-period N]\n"
+      "                   [--matcher=machine|plan] [--batch]\n"
+      "                   [--fault-seed N] [--fault-period N]\n"
       "                   [--search=greedy|best-of-n|beam|auto] "
       "[--beam-width N]\n"
       "                   [--lookahead N] [--search-witnesses N]\n"
@@ -129,15 +130,17 @@ bool parseEmitRewrite(int Argc, char **Argv, RewriteRequest &R) {
       }
       return false;
     };
-    uint64_t Threads64 = 0;
     if (Num("--seq", R.Seq) || Num("--deadline-us", R.DeadlineMicros) ||
         Num("--max-steps", R.MaxSteps) || Num("--max-mu", R.MaxMuUnfolds) ||
         Num("--max-rewrites", R.MaxRewrites) ||
         Num("--fault-seed", R.FaultSiteSeed) ||
         Num("--fault-period", R.FaultSitePeriod))
       continue;
-    if (Num("--threads", Threads64)) {
-      R.Threads = static_cast<uint32_t>(Threads64);
+    if (std::strcmp(Argv[I], "--threads") == 0 && I + 1 != Argc) {
+      std::optional<unsigned> N = parseThreadCount(Argv[++I]);
+      if (!N)
+        return false;
+      R.Threads = *N;
       continue;
     }
     uint64_t U32Tmp = 0;
@@ -175,10 +178,10 @@ bool parseEmitRewrite(int Argc, char **Argv, RewriteRequest &R) {
         R.Matcher = 3;
       else
         return false;
-    } else if (std::strcmp(Argv[I], "--incremental") == 0)
-      R.Incremental = true;
-    else if (std::strcmp(Argv[I], "--batch") == 0)
+    } else if (std::strcmp(Argv[I], "--batch") == 0)
       R.Batch = true;
+    else if (std::strncmp(Argv[I], "--", 2) == 0)
+      return false; // unknown option
     else if (!Rules)
       Rules = Argv[I];
     else if (!Graph)
