@@ -14,8 +14,6 @@
 #include "analysis/CriticalPairs.h"
 #include "dsl/Sema.h"
 #include "graph/GraphIO.h"
-#include "pattern/Serializer.h"
-#include "plan/PlanBuilder.h"
 #include "rewrite/Partition.h"
 #include "server/Server.h"
 
@@ -23,7 +21,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <string_view>
-#include <unistd.h>
 
 using namespace pypm;
 using namespace pypm::bench;
@@ -185,108 +182,6 @@ int runRulesetSweep() {
   return 0;
 }
 
-/// `--batch-sweep`: RewriteOptions::Batch against per-root discovery
-/// (BENCH_batch_sweep.json). Repeats the `--ruleset-sweep` rule-prefix
-/// ladder with the plan matcher against itself, Batch on vs off: one
-/// frontier sweep computing every candidate mask vs the per-root tree
-/// walk. Times DiscoverySeconds best-of-R on fresh graphs and asserts the
-/// match counts equal as they are timed — the differential suite's
-/// bit-identity claim, re-checked where the numbers come from. A
-/// discovery-layer floor, not an end-to-end figure. `--smoke` shrinks the
-/// zoo and the repeat count to a CI-sized run.
-int runBatchSweep(bool Smoke) {
-  std::vector<models::ModelEntry> Zoo;
-  {
-    auto Hf = models::hfSuite();
-    auto Tv = models::tvSuite();
-    const size_t PerSuite = Smoke ? 3 : SIZE_MAX;
-    for (size_t I = 0; I != Hf.size() && I != PerSuite; ++I)
-      Zoo.push_back(Hf[I]);
-    for (size_t I = 0; I != Tv.size() && I != PerSuite; ++I)
-      Zoo.push_back(Tv[I]);
-  }
-  const int Repeats = Smoke ? 3 : 9;
-
-  std::printf("{\n  \"models\": %zu,\n  \"repeats\": %d,\n"
-              "  \"smoke\": %s,\n",
-              Zoo.size(), Repeats, Smoke ? "true" : "false");
-
-  size_t NumEntries = 0;
-  {
-    term::Signature Sig;
-    RuleSet All;
-    for (auto &Lib :
-         {opt::compileFmha(Sig), opt::compileEpilog(Sig),
-          opt::compileCublas(Sig), opt::compileUnaryChain(Sig)})
-      All.addLibrary(*Lib);
-    NumEntries = All.entries().size();
-  }
-
-  std::printf("  \"batched_sweep\": [\n");
-  for (size_t K = 1; K <= NumEntries; ++K) {
-    double PerRoot = 0, Batched = 0;
-    uint64_t Matches = 0, BatchedNodes = 0;
-    for (const models::ModelEntry &Model : Zoo) {
-      term::Signature Sig;
-      auto G = Model.Build(Sig);
-      auto Fmha = opt::compileFmha(Sig);
-      auto Epilog = opt::compileEpilog(Sig);
-      auto Cublas = opt::compileCublas(Sig);
-      auto Unary = opt::compileUnaryChain(Sig);
-      RuleSet All;
-      for (const pattern::Library *Lib :
-           {Fmha.get(), Epilog.get(), Cublas.get(), Unary.get()})
-        All.addLibrary(*Lib);
-      RuleSet Prefix;
-      for (size_t I = 0; I != K && I != All.entries().size(); ++I)
-        Prefix.addPattern(*All.entries()[I].Pattern, All.entries()[I].Rules);
-
-      plan::Program Prog = plan::PlanBuilder::compile(Prefix, Sig);
-      rewrite::RewriteOptions PerRootOpts;
-      PerRootOpts.Matcher = rewrite::MatcherKind::Plan;
-      PerRootOpts.PrecompiledPlan = &Prog;
-      rewrite::RewriteOptions BatchOpts = PerRootOpts;
-      BatchOpts.Batch = true;
-
-      double BestPer = 0, BestBat = 0;
-      uint64_t MPer = 0, MBat = 0, BN = 0;
-      for (int Rep = 0; Rep != Repeats; ++Rep) {
-        rewrite::RewriteStats PS = rewrite::matchAll(*G, Prefix, PerRootOpts);
-        if (Rep == 0 || PS.DiscoverySeconds < BestPer)
-          BestPer = PS.DiscoverySeconds;
-        MPer = PS.TotalMatches;
-        rewrite::RewriteStats BS = rewrite::matchAll(*G, Prefix, BatchOpts);
-        if (Rep == 0 || BS.DiscoverySeconds < BestBat)
-          BestBat = BS.DiscoverySeconds;
-        MBat = BS.TotalMatches;
-        BN = BS.BatchedNodes;
-      }
-      if (MPer != MBat) {
-        std::fprintf(stderr,
-                     "batch-sweep: divergence (rules=%zu, "
-                     "model=%s, per-root=%llu, batched=%llu)\n",
-                     K, Model.Name.c_str(), (unsigned long long)MPer,
-                     (unsigned long long)MBat);
-        return 1;
-      }
-      PerRoot += BestPer;
-      Batched += BestBat;
-      Matches += MBat;
-      BatchedNodes += BN;
-    }
-    std::printf("    {\"rules\": %zu, \"matches\": %llu, "
-                "\"batched_nodes\": %llu, "
-                "\"perroot_discovery_seconds\": %.6f, "
-                "\"batched_discovery_seconds\": %.6f, \"speedup\": %.3f}%s\n",
-                K, (unsigned long long)Matches,
-                (unsigned long long)BatchedNodes, PerRoot, Batched,
-                Batched > 0 ? PerRoot / Batched : 0.0,
-                K == NumEntries ? "" : ",");
-  }
-  std::printf("  ]\n}\n");
-  return 0;
-}
-
 /// `--daemon-sweep`: what the pypmd plan-cache tiers buy per request
 /// (BENCH_daemon_sweep.json). The same rewrite request — the serialized
 /// §4 epilog-fusion library plus a zoo model's graph text — is served
@@ -436,191 +331,12 @@ int runDaemonSweep(bool Smoke) {
   return 0;
 }
 
-/// `--search-sweep`: what cost-directed commit selection buys over the
-/// greedy canonical order (BENCH_search_sweep.json). Leg one scales the
-/// conflict workload from tests/test_search.cpp — K independent
-/// Gelu(MatMul(X, Trans(W))) towers where two fusions compete for each
-/// region and declaration order puts the costlier epilog fuse first, so
-/// greedy strands K Trans kernels while the beam folds each into the
-/// cuBLAS call — and reports end-state modeled cost plus rewrite
-/// wall-clock for greedy, beam, and best-of-N. The beam must strictly
-/// beat greedy on every row or the sweep fails: the committed JSON is a
-/// claim, not a log. Leg two runs the standard confluent pipeline over
-/// the zoo under both engines; there every fixpoint costs the same, so
-/// the rows isolate the search tax (clone + price per candidate) on
-/// workloads where searching cannot help. Best-of-R wall times; `--smoke`
-/// shrinks the ladder, the zoo, and the repeat count.
-int runSearchSweep(bool Smoke) {
-  const int Repeats = Smoke ? 3 : 9;
-  using Clock = std::chrono::steady_clock;
-
-  // Leg one: the conflict ladder.
-  std::vector<size_t> Ladder = Smoke ? std::vector<size_t>{1, 2, 4}
-                                     : std::vector<size_t>{1, 2, 4, 8, 16};
-  std::printf("{\n  \"repeats\": %d,\n  \"smoke\": %s,\n  \"conflict\": [\n",
-              Repeats, Smoke ? "true" : "false");
-
-  constexpr const char *ConflictRules = R"pypm(
-pattern EpiGelu(a, b) { return Gelu(MatMul(a, b)); }
-rule epi for EpiGelu(a, b) { return GemmEpilog(a, b); }
-
-pattern FullGelu(x, y) {
-  yt = Trans(y);
-  return Gelu(MatMul(x, yt));
-}
-rule full for FullGelu(x, y) { return Gelu(cublasMM_xyT_f32(x, y)); }
-)pypm";
-
-  // One timed run: build the K-tower graph fresh, rewrite under Opts,
-  // return end-state modeled cost (and the stats for the counters).
-  auto RunConflict = [&](size_t Blocks, const rewrite::RewriteOptions &Opts,
-                         double &WallSec, rewrite::RewriteStats *StatsOut) {
-    term::Signature Sig;
-    models::declareModelOps(Sig);
-    auto Lib = dsl::compileOrDie(ConflictRules, Sig);
-    RuleSet RS;
-    RS.addLibrary(*Lib);
-    graph::Graph G(Sig);
-    for (size_t I = 0; I != Blocks; ++I) {
-      graph::NodeId A = G.addLeaf(
-          "Input", graph::TensorType::make(term::DType::F32, {512, 512}));
-      graph::NodeId B = G.addLeaf(
-          "Input", graph::TensorType::make(term::DType::F32, {512, 512}));
-      graph::NodeId T = G.addNode(Sig.lookup("Trans"), {B});
-      graph::NodeId M = G.addNode(Sig.lookup("MatMul"), {A, T});
-      graph::NodeId Ge = G.addNode(Sig.lookup("Gelu"), {M});
-      G.addOutput(Ge);
-    }
-    graph::ShapeInference SI;
-    SI.inferAll(G);
-    Clock::time_point T0 = Clock::now();
-    rewrite::RewriteStats S = rewrite::rewriteToFixpoint(G, RS, SI, Opts);
-    WallSec = std::chrono::duration<double>(Clock::now() - T0).count();
-    if (StatsOut)
-      *StatsOut = S;
-    return sim::CostModel().graphCost(G).Seconds;
-  };
-
-  auto BestOf = [&](size_t Blocks, const rewrite::RewriteOptions &Opts,
-                    double &BestWall, rewrite::RewriteStats *StatsOut) {
-    double Cost = 0;
-    for (int Rep = 0; Rep != Repeats; ++Rep) {
-      double Wall = 0;
-      Cost = RunConflict(Blocks, Opts, Wall, StatsOut);
-      if (Rep == 0 || Wall < BestWall)
-        BestWall = Wall;
-    }
-    return Cost;
-  };
-
-  for (size_t LI = 0; LI != Ladder.size(); ++LI) {
-    size_t Blocks = Ladder[LI];
-    rewrite::RewriteOptions Greedy;
-    rewrite::RewriteOptions Beam;
-    Beam.Search = rewrite::SearchStrategy::Beam;
-    Beam.BeamWidth = 2;
-    Beam.Lookahead = 1;
-    rewrite::RewriteOptions BestN;
-    BestN.Search = rewrite::SearchStrategy::BestOfN;
-    BestN.BeamWidth = 2;
-    BestN.Lookahead = 1;
-
-    double GreedyWall = 0, BeamWall = 0, BestNWall = 0;
-    rewrite::RewriteStats BeamStats;
-    double GreedyCost = BestOf(Blocks, Greedy, GreedyWall, nullptr);
-    double BeamCost = BestOf(Blocks, Beam, BeamWall, &BeamStats);
-    double BestNCost = BestOf(Blocks, BestN, BestNWall, nullptr);
-    if (!(BeamCost < GreedyCost)) {
-      std::fprintf(stderr,
-                   "search-sweep: beam failed to beat greedy at %zu blocks "
-                   "(%.9e vs %.9e)\n",
-                   Blocks, BeamCost, GreedyCost);
-      return 1;
-    }
-    std::printf("    {\"blocks\": %zu, \"greedy_cost_us\": %.3f, "
-                "\"beam_cost_us\": %.3f, \"bestofn_cost_us\": %.3f, "
-                "\"improvement\": %.4f, \"beam_fired\": %llu, "
-                "\"beam_expansions\": %llu, \"greedy_wall_ms\": %.3f, "
-                "\"beam_wall_ms\": %.3f}%s\n",
-                Blocks, GreedyCost * 1e6, BeamCost * 1e6, BestNCost * 1e6,
-                GreedyCost / BeamCost,
-                (unsigned long long)BeamStats.TotalFired,
-                (unsigned long long)BeamStats.SearchExpansions,
-                GreedyWall * 1e3, BeamWall * 1e3,
-                LI + 1 == Ladder.size() ? "" : ",");
-  }
-
-  // Leg two: the confluent zoo — search cannot improve the end state, so
-  // the cost columns must agree and the wall columns price the tax.
-  std::vector<models::ModelEntry> Zoo;
-  {
-    auto Hf = models::hfSuite();
-    auto Tv = models::tvSuite();
-    const size_t PerSuite = Smoke ? 2 : SIZE_MAX;
-    for (size_t I = 0; I != Hf.size() && I != PerSuite; ++I)
-      Zoo.push_back(Hf[I]);
-    for (size_t I = 0; I != Tv.size() && I != PerSuite; ++I)
-      Zoo.push_back(Tv[I]);
-  }
-  std::printf("  ],\n  \"zoo\": [\n");
-  for (size_t MI = 0; MI != Zoo.size(); ++MI) {
-    const models::ModelEntry &Model = Zoo[MI];
-    auto RunZoo = [&](const rewrite::RewriteOptions &Opts, double &BestWall) {
-      double Cost = 0;
-      for (int Rep = 0; Rep != Repeats; ++Rep) {
-        term::Signature Sig;
-        auto G = Model.Build(Sig);
-        opt::Pipeline Pipe = opt::makePipeline(Sig, opt::OptConfig::Both);
-        Clock::time_point T0 = Clock::now();
-        (void)rewrite::rewriteToFixpoint(*G, Pipe.Rules,
-                                         graph::ShapeInference(), Opts);
-        double Wall = std::chrono::duration<double>(Clock::now() - T0).count();
-        if (Rep == 0 || Wall < BestWall)
-          BestWall = Wall;
-        Cost = sim::CostModel().graphCost(*G).Seconds;
-      }
-      return Cost;
-    };
-    rewrite::RewriteOptions Greedy;
-    rewrite::RewriteOptions Beam;
-    Beam.Search = rewrite::SearchStrategy::Beam;
-    Beam.BeamWidth = 4;
-    Beam.Lookahead = 2;
-    double GreedyWall = 0, BeamWall = 0;
-    double GreedyCost = RunZoo(Greedy, GreedyWall);
-    double BeamCost = RunZoo(Beam, BeamWall);
-    if (BeamCost > GreedyCost + 1e-15) {
-      std::fprintf(stderr, "search-sweep: beam regressed the zoo model %s "
-                           "(%.9e vs %.9e)\n",
-                   Model.Name.c_str(), BeamCost, GreedyCost);
-      return 1;
-    }
-    std::printf("    {\"model\": \"%s\", \"greedy_cost_us\": %.3f, "
-                "\"beam_cost_us\": %.3f, \"greedy_wall_ms\": %.3f, "
-                "\"beam_wall_ms\": %.3f, \"search_tax\": %.3f}%s\n",
-                Model.Name.c_str(), GreedyCost * 1e6, BeamCost * 1e6,
-                GreedyWall * 1e3, BeamWall * 1e3,
-                GreedyWall > 0 ? BeamWall / GreedyWall : 0.0,
-                MI + 1 == Zoo.size() ? "" : ",");
-  }
-  std::printf("  ]\n}\n");
-  return 0;
-}
-
-/// `--critical-sweep`: what the confluence certificate costs to produce
-/// and what it buys back (BENCH_critical_sweep.json). Leg one prices the
-/// analysis itself: best-of-R analyzeConfluence wall time over every §4
-/// std library plus the conflict rule set from `--search-sweep`, with the
-/// verdict and pair counts alongside — the certificate is a compile-time
-/// artifact, so this is the once-per-.pypmplan cost. Leg two measures the
-/// search tax `--search=auto` avoids: over the zoo, the certified epilog
-/// library is rewritten to fixpoint under an uncertified user's cautious
-/// beam(4,1) and under auto carrying the certificate (which resolves to
-/// greedy); end-state modeled costs must agree and auto must report zero
-/// search work, so the wall-clock ratio is pure avoided tax. Leg three is
-/// the safety half: on the conflict ladder auto must land exactly on
-/// beam's (cheaper) end state — the certificate never trades result
-/// quality for speed. `--smoke` shrinks the zoo and the repeat count.
+/// `--critical-sweep`: what the critical-pair analysis costs
+/// (BENCH_critical_sweep.json): best-of-R analyzeConfluence wall time over
+/// every §4 std library plus a two-rule set whose epilog and cuBLAS
+/// fusions compete for the same MatMul, with the verdict and pair counts
+/// alongside. The conflict set must refute. `--smoke` shrinks the repeat
+/// count.
 int runCriticalSweep(bool Smoke) {
   namespace critical = analysis::critical;
   const int Repeats = Smoke ? 3 : 9;
@@ -640,7 +356,6 @@ rule full for FullGelu(x, y) { return Gelu(cublasMM_xyT_f32(x, y)); }
   std::printf("{\n  \"repeats\": %d,\n  \"smoke\": %s,\n  \"analysis\": [\n",
               Repeats, Smoke ? "true" : "false");
 
-  // Leg one: analysis cost + verdict per rule set.
   struct Entry {
     const char *Name;
     std::unique_ptr<pattern::Library> (*Compile)(term::Signature &);
@@ -697,137 +412,7 @@ rule full for FullGelu(x, y) { return Gelu(cublasMM_xyT_f32(x, y)); }
     }
     EmitRow("conflict", Lib->Rules.size(), R, Best, /*Last=*/true);
   }
-
-  // Leg two: search tax avoided by auto on the certified epilog library.
-  std::vector<models::ModelEntry> Zoo;
-  {
-    auto Hf = models::hfSuite();
-    auto Tv = models::tvSuite();
-    const size_t PerSuite = Smoke ? 2 : SIZE_MAX;
-    for (size_t I = 0; I != Hf.size() && I != PerSuite; ++I)
-      Zoo.push_back(Hf[I]);
-    for (size_t I = 0; I != Tv.size() && I != PerSuite; ++I)
-      Zoo.push_back(Tv[I]);
-  }
-  std::printf("  ],\n  \"tax_avoided\": [\n");
-  double BeamSum = 0, AutoSum = 0;
-  for (size_t MI = 0; MI != Zoo.size(); ++MI) {
-    const models::ModelEntry &Model = Zoo[MI];
-    critical::ConfluenceReport CR;
-    {
-      term::Signature Sig;
-      (void)Model.Build(Sig);
-      CR = critical::analyzeConfluence(*opt::compileEpilog(Sig), Sig);
-    }
-    if (!CR.certified()) {
-      std::fprintf(stderr, "critical-sweep: the epilog library failed to "
-                           "certify on %s (verdict %s)\n",
-                   Model.Name.c_str(),
-                   std::string(critical::verdictName(CR.Overall)).c_str());
-      return 1;
-    }
-    auto RunOnce = [&](const rewrite::RewriteOptions &Opts, double &BestWall,
-                       bool First, rewrite::RewriteStats *StatsOut) {
-      term::Signature Sig;
-      auto G = Model.Build(Sig);
-      auto Epilog = opt::compileEpilog(Sig);
-      RuleSet RS;
-      RS.addLibrary(*Epilog);
-      Clock::time_point T0 = Clock::now();
-      rewrite::RewriteStats S =
-          rewrite::rewriteToFixpoint(*G, RS, graph::ShapeInference(), Opts);
-      double Wall = std::chrono::duration<double>(Clock::now() - T0).count();
-      if (First || Wall < BestWall)
-        BestWall = Wall;
-      if (StatsOut)
-        *StatsOut = S;
-      return sim::CostModel().graphCost(*G).Seconds;
-    };
-    rewrite::RewriteOptions Beam;
-    Beam.Search = rewrite::SearchStrategy::Beam;
-    Beam.BeamWidth = 4;
-    Beam.Lookahead = 1;
-    rewrite::RewriteOptions Auto = Beam;
-    Auto.Search = rewrite::SearchStrategy::Auto;
-    Auto.Confluence = &CR;
-
-    double BeamWall = 0, AutoWall = 0;
-    double BeamCost = 0, AutoCost = 0;
-    rewrite::RewriteStats AutoStats;
-    for (int Rep = 0; Rep != Repeats; ++Rep) {
-      BeamCost = RunOnce(Beam, BeamWall, Rep == 0, nullptr);
-      AutoCost = RunOnce(Auto, AutoWall, Rep == 0, &AutoStats);
-    }
-    if (AutoStats.SearchSteps != 0 || AutoStats.SearchExpansions != 0) {
-      std::fprintf(stderr, "critical-sweep: auto spent search work on the "
-                           "certified set (%s)\n",
-                   Model.Name.c_str());
-      return 1;
-    }
-    if (AutoCost > BeamCost + 1e-15) {
-      std::fprintf(stderr, "critical-sweep: auto regressed end-state cost "
-                           "on %s (%.9e vs %.9e)\n",
-                   Model.Name.c_str(), AutoCost, BeamCost);
-      return 1;
-    }
-    BeamSum += BeamWall;
-    AutoSum += AutoWall;
-    std::printf("    {\"model\": \"%s\", \"beam_wall_ms\": %.3f, "
-                "\"auto_wall_ms\": %.3f, \"tax_avoided\": %.3f}%s\n",
-                Model.Name.c_str(), BeamWall * 1e3, AutoWall * 1e3,
-                AutoWall > 0 ? BeamWall / AutoWall : 0.0,
-                MI + 1 == Zoo.size() ? "" : ",");
-  }
-  std::printf("  ],\n  \"tax_avoided_total\": {\"beam_wall_ms\": %.3f, "
-              "\"auto_wall_ms\": %.3f, \"tax_avoided\": %.3f},\n",
-              BeamSum * 1e3, AutoSum * 1e3,
-              AutoSum > 0 ? BeamSum / AutoSum : 0.0);
-
-  // Leg three: on the conflicting set auto must land on beam's end state.
-  {
-    auto RunConflictBlocks = [&](const rewrite::RewriteOptions &Opts) {
-      term::Signature Sig;
-      models::declareModelOps(Sig);
-      auto Lib = dsl::compileOrDie(ConflictRules, Sig);
-      RuleSet RS;
-      RS.addLibrary(*Lib);
-      graph::Graph G(Sig);
-      for (size_t I = 0; I != 4; ++I) {
-        graph::NodeId A = G.addLeaf(
-            "Input", graph::TensorType::make(term::DType::F32, {512, 512}));
-        graph::NodeId B = G.addLeaf(
-            "Input", graph::TensorType::make(term::DType::F32, {512, 512}));
-        graph::NodeId T = G.addNode(Sig.lookup("Trans"), {B});
-        graph::NodeId M = G.addNode(Sig.lookup("MatMul"), {A, T});
-        graph::NodeId Ge = G.addNode(Sig.lookup("Gelu"), {M});
-        G.addOutput(Ge);
-      }
-      graph::ShapeInference SI;
-      SI.inferAll(G);
-      (void)rewrite::rewriteToFixpoint(G, RS, SI, Opts);
-      return sim::CostModel().graphCost(G).Seconds;
-    };
-    rewrite::RewriteOptions Greedy;
-    rewrite::RewriteOptions Beam;
-    Beam.Search = rewrite::SearchStrategy::Beam;
-    Beam.BeamWidth = 2;
-    Beam.Lookahead = 1;
-    rewrite::RewriteOptions Auto = Beam;
-    Auto.Search = rewrite::SearchStrategy::Auto;
-    double GreedyCost = RunConflictBlocks(Greedy);
-    double BeamCost = RunConflictBlocks(Beam);
-    double AutoCost = RunConflictBlocks(Auto);
-    if (AutoCost != BeamCost || !(AutoCost < GreedyCost)) {
-      std::fprintf(stderr, "critical-sweep: auto failed to keep beam's end "
-                           "state on the conflicting set (greedy %.9e, "
-                           "beam %.9e, auto %.9e)\n",
-                   GreedyCost, BeamCost, AutoCost);
-      return 1;
-    }
-    std::printf("  \"conflict_guard\": {\"greedy_cost_us\": %.3f, "
-                "\"beam_cost_us\": %.3f, \"auto_cost_us\": %.3f}\n}\n",
-                GreedyCost * 1e6, BeamCost * 1e6, AutoCost * 1e6);
-  }
+  std::printf("  ]\n}\n");
   return 0;
 }
 
@@ -843,12 +428,8 @@ int main(int argc, char **argv) {
       return runThreadsSweep();
     if (std::string_view(argv[I]) == "--ruleset-sweep")
       return runRulesetSweep();
-    if (std::string_view(argv[I]) == "--batch-sweep")
-      return runBatchSweep(Smoke);
     if (std::string_view(argv[I]) == "--daemon-sweep")
       return runDaemonSweep(Smoke);
-    if (std::string_view(argv[I]) == "--search-sweep")
-      return runSearchSweep(Smoke);
     if (std::string_view(argv[I]) == "--critical-sweep")
       return runCriticalSweep(Smoke);
   }

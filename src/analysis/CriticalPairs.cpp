@@ -3,13 +3,12 @@
 #include "analysis/CriticalPairs.h"
 
 #include "analysis/GuardSolver.h"
+#include "analysis/Moves.h"
 #include "analysis/Unify.h"
 #include "graph/Graph.h"
 #include "graph/GraphIO.h"
 #include "graph/ShapeInference.h"
 #include "plan/PlanBuilder.h"
-#include "search/Search.h"
-#include "sim/CostModel.h"
 
 #include <algorithm>
 #include <chrono>
@@ -91,8 +90,7 @@ public:
            const ConfluenceOptions &Opts)
       : RS(RS), WorkSig(Sig), Opts(Opts),
         Plan(plan::PlanBuilder::compile(RS, WorkSig)) {
-    EO.MaxWitnesses = std::max(8u, Opts.MaxAltsPerPattern);
-    EO.Plan = &Plan;
+    MaxWitnesses = std::max(8u, Opts.MaxAltsPerPattern);
   }
 
   ConfluenceReport run() {
@@ -323,9 +321,9 @@ private:
     G.addOutput(Root);
     inferTypes(G);
 
-    std::vector<search::Candidate> Cands;
+    std::vector<Candidate> Cands;
     try {
-      Cands = search::enumerateCandidates(G, RS, EO);
+      Cands = enumerateCandidates(G, RS, MaxWitnesses, &Plan);
     } catch (...) {
       PR.Detail = "candidate enumeration threw on the witness";
       return PR;
@@ -342,12 +340,10 @@ private:
       std::string Canonical;  ///< renaming-invariant form, for comparison
     };
     std::vector<Reduct> Reducts;
-    for (const search::Candidate &C : Cands) {
+    for (const Candidate &C : Cands) {
       graph::Graph Clone(G);
       try {
-        search::ApplyResult AR =
-            search::applyCandidate(Clone, C, RS, SI, CM, {}, nullptr, &Plan);
-        if (!AR.Applied) {
+        if (!applyCandidate(Clone, C, RS, SI, &Plan)) {
           PR.Detail = "candidate failed to re-derive on the witness clone";
           return PR;
         }
@@ -556,9 +552,9 @@ private:
   /// bound hit or an apply failure.
   bool normalize(graph::Graph &G) {
     for (unsigned Step = 0;; ++Step) {
-      std::vector<search::Candidate> Cands;
+      std::vector<Candidate> Cands;
       try {
-        Cands = search::enumerateCandidates(G, RS, EO);
+        Cands = enumerateCandidates(G, RS, MaxWitnesses, &Plan);
       } catch (...) {
         return false;
       }
@@ -567,9 +563,7 @@ private:
       if (Step >= Opts.MaxNormalizeSteps)
         return false;
       try {
-        if (!search::applyCandidate(G, Cands.front(), RS, SI, CM, {}, nullptr,
-                                    &Plan)
-                 .Applied)
+        if (!applyCandidate(G, Cands.front(), RS, SI, &Plan))
           return false;
       } catch (...) {
         return false;
@@ -616,9 +610,8 @@ private:
   /// The rule set compiled once: every witness enumeration and candidate
   /// application runs on it.
   plan::Program Plan;
-  search::EnumOptions EO;
+  unsigned MaxWitnesses = 0; ///< witnesses enumerated per (node, entry)
   graph::ShapeInference SI;
-  sim::CostModel CM;
 
   PTermArena Terms;
   pattern::PatternArena Guards;
@@ -646,192 +639,6 @@ ConfluenceReport analyzeConfluence(const pattern::Library &Lib,
   rewrite::RuleSet RS;
   RS.addLibrary(Lib, /*RulesOnly=*/true);
   return analyzeConfluence(RS, Sig, Opts);
-}
-
-//===----------------------------------------------------------------------===//
-// Certificate codec
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-constexpr char kMagic[4] = {'P', 'M', 'C', 'F'};
-constexpr uint32_t kCertVersion = 1;
-
-void putU32(std::string &Out, uint32_t V) {
-  for (int I = 0; I < 4; ++I)
-    Out.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
-}
-
-void putU64(std::string &Out, uint64_t V) {
-  for (int I = 0; I < 8; ++I)
-    Out.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
-}
-
-void putStr(std::string &Out, std::string_view S) {
-  putU32(Out, static_cast<uint32_t>(S.size()));
-  Out.append(S);
-}
-
-/// Bounds-checked cursor over a hostile byte blob.
-struct CertReader {
-  std::string_view Bytes;
-  size_t Pos = 0;
-  std::string Error;
-
-  bool fail(std::string Why) {
-    if (Error.empty())
-      Error = std::move(Why);
-    return false;
-  }
-  bool need(size_t N) {
-    if (Bytes.size() - Pos < N)
-      return fail("truncated confluence certificate");
-    return true;
-  }
-  bool readU8(uint8_t &V) {
-    if (!need(1))
-      return false;
-    V = static_cast<uint8_t>(Bytes[Pos++]);
-    return true;
-  }
-  bool readU32(uint32_t &V) {
-    if (!need(4))
-      return false;
-    V = 0;
-    for (int I = 0; I < 4; ++I)
-      V |= static_cast<uint32_t>(static_cast<uint8_t>(Bytes[Pos++])) << (8 * I);
-    return true;
-  }
-  bool readU64(uint64_t &V) {
-    if (!need(8))
-      return false;
-    V = 0;
-    for (int I = 0; I < 8; ++I)
-      V |= static_cast<uint64_t>(static_cast<uint8_t>(Bytes[Pos++])) << (8 * I);
-    return true;
-  }
-  bool readStr(std::string &S) {
-    uint32_t Len = 0;
-    if (!readU32(Len))
-      return false;
-    if (Len > Bytes.size() - Pos)
-      return fail("truncated string in confluence certificate");
-    S.assign(Bytes.substr(Pos, Len));
-    Pos += Len;
-    return true;
-  }
-};
-
-} // namespace
-
-std::string serializeConfluence(const ConfluenceReport &R) {
-  std::string Out;
-  Out.append(kMagic, sizeof(kMagic));
-  putU32(Out, kCertVersion);
-  Out.push_back(static_cast<char>(R.Overall));
-  putU32(Out, R.PairsExamined);
-  putU32(Out, R.PairsJoinable);
-  putU32(Out, R.PairsConflicting);
-  putU32(Out, R.PairsUnknown);
-  putU64(Out, static_cast<uint64_t>(R.AnalysisSeconds * 1e6));
-  // Spellings sorted so the blob is a deterministic function of the report.
-  std::vector<std::string> Certified(R.CertifiedRules.begin(),
-                                     R.CertifiedRules.end());
-  std::sort(Certified.begin(), Certified.end());
-  putU32(Out, static_cast<uint32_t>(Certified.size()));
-  for (const std::string &S : Certified)
-    putStr(Out, S);
-  putU32(Out, static_cast<uint32_t>(R.UnresolvedPairs.size()));
-  for (const auto &[A, B] : R.UnresolvedPairs) {
-    putStr(Out, A);
-    putStr(Out, B);
-  }
-  putU32(Out, static_cast<uint32_t>(R.Findings.size()));
-  for (const Finding &F : R.Findings) {
-    Out.push_back(static_cast<char>(F.Sev));
-    putStr(Out, F.Code);
-    putU32(Out, F.Loc.Line);
-    putU32(Out, F.Loc.Col);
-    putStr(Out, F.PatternName);
-    putStr(Out, F.RuleName);
-    putU32(Out, static_cast<uint32_t>(F.Alternate + 1));
-    putStr(Out, F.Message);
-  }
-  return Out;
-}
-
-std::unique_ptr<ConfluenceReport>
-deserializeConfluence(std::string_view Bytes, std::string *Error) {
-  CertReader Rd{Bytes, 0, {}};
-  auto Fail = [&](std::string Why) -> std::unique_ptr<ConfluenceReport> {
-    if (Error)
-      *Error = Rd.Error.empty() ? std::move(Why) : Rd.Error;
-    return nullptr;
-  };
-  if (Bytes.size() < 8 || Bytes.compare(0, 4, kMagic, 4) != 0)
-    return Fail("not a confluence certificate (bad magic)");
-  Rd.Pos = 4;
-  uint32_t Version = 0;
-  if (!Rd.readU32(Version))
-    return Fail("truncated confluence certificate");
-  if (Version != kCertVersion)
-    return Fail("unsupported confluence certificate version " +
-                std::to_string(Version));
-  auto R = std::make_unique<ConfluenceReport>();
-  uint8_t Verd = 0;
-  uint64_t Micros = 0;
-  if (!Rd.readU8(Verd) || !Rd.readU32(R->PairsExamined) ||
-      !Rd.readU32(R->PairsJoinable) || !Rd.readU32(R->PairsConflicting) ||
-      !Rd.readU32(R->PairsUnknown) || !Rd.readU64(Micros))
-    return Fail("truncated confluence certificate");
-  if (Verd > 2)
-    return Fail("invalid confluence verdict");
-  R->Overall = static_cast<Verdict>(Verd);
-  R->AnalysisSeconds = static_cast<double>(Micros) / 1e6;
-
-  uint32_t N = 0;
-  if (!Rd.readU32(N))
-    return Fail("truncated confluence certificate");
-  if (static_cast<uint64_t>(N) * 4 > Bytes.size() - Rd.Pos)
-    return Fail("implausible certified-rule count");
-  for (uint32_t I = 0; I < N; ++I) {
-    std::string S;
-    if (!Rd.readStr(S))
-      return Fail("truncated confluence certificate");
-    R->CertifiedRules.insert(std::move(S));
-  }
-  if (!Rd.readU32(N))
-    return Fail("truncated confluence certificate");
-  if (static_cast<uint64_t>(N) * 8 > Bytes.size() - Rd.Pos)
-    return Fail("implausible unresolved-pair count");
-  for (uint32_t I = 0; I < N; ++I) {
-    std::string A, B;
-    if (!Rd.readStr(A) || !Rd.readStr(B))
-      return Fail("truncated confluence certificate");
-    R->UnresolvedPairs.emplace_back(std::move(A), std::move(B));
-  }
-  if (!Rd.readU32(N))
-    return Fail("truncated confluence certificate");
-  if (static_cast<uint64_t>(N) * 25 > Bytes.size() - Rd.Pos)
-    return Fail("implausible finding count");
-  for (uint32_t I = 0; I < N; ++I) {
-    Finding F;
-    uint8_t Sev = 0;
-    uint32_t AltPlus1 = 0;
-    if (!Rd.readU8(Sev) || !Rd.readStr(F.Code) || !Rd.readU32(F.Loc.Line) ||
-        !Rd.readU32(F.Loc.Col) || !Rd.readStr(F.PatternName) ||
-        !Rd.readStr(F.RuleName) || !Rd.readU32(AltPlus1) ||
-        !Rd.readStr(F.Message))
-      return Fail("truncated confluence certificate");
-    if (Sev > 2)
-      return Fail("invalid finding severity in confluence certificate");
-    F.Sev = static_cast<Severity>(Sev);
-    F.Alternate = static_cast<int>(AltPlus1) - 1;
-    R->Findings.push_back(std::move(F));
-  }
-  if (Rd.Pos != Bytes.size())
-    return Fail("trailing bytes after confluence certificate");
-  return R;
 }
 
 } // namespace pypm::analysis::critical

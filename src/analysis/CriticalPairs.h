@@ -15,9 +15,9 @@
 ///      variable, f32[16x16]; function variables concretized from their
 ///      pins).
 ///   3. Joinability is decided semantically: both diverging candidates are
-///      applied on hermetic clones with the real engine machinery
-///      (search::enumerateCandidates / applyCandidate) and each reduct is
-///      normalized greedily under a step bound. Equal normal forms ⇒
+///      applied on hermetic copies by the one-step move generator
+///      (analysis/Moves.h: enumerateCandidates / applyCandidate) and each
+///      reduct is normalized greedily under a step bound. Equal normal forms ⇒
 ///      joinable; two distinct normal forms ⇒ an `analysis.critical-pair`
 ///      finding carrying the witness term and both normal forms; a bound
 ///      hit or an unrealizable witness ⇒ `analysis.joinability-unknown`.
@@ -33,8 +33,7 @@
 /// `Conflicting` exhibits at least one concrete counterexample witness.
 /// `Unknown` means some obligation could not be discharged (μ bail-out,
 /// unrealizable witness, bound hit) — consumers must treat it exactly
-/// like Conflicting for soundness (e.g. `--search=auto` falls back to
-/// beam).
+/// like Conflicting for soundness.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,7 +42,6 @@
 
 #include "analysis/Analysis.h"
 
-#include <memory>
 #include <span>
 #include <string>
 #include <unordered_set>
@@ -114,20 +112,6 @@ ConfluenceReport analyzeConfluence(const rewrite::RuleSet &RS,
 ConfluenceReport analyzeConfluence(const pattern::Library &Lib,
                                    const term::Signature &Sig,
                                    const ConfluenceOptions &Opts = {});
-
-//===----------------------------------------------------------------------===//
-// Hardened certificate codec (embedded in .pypmplan v3)
-//===----------------------------------------------------------------------===//
-
-/// Serializes \p R into a self-contained binary blob (own magic/version,
-/// spellings not symbol ids).
-std::string serializeConfluence(const ConfluenceReport &R);
-
-/// Parses a blob produced by serializeConfluence. Every read is
-/// bounds-checked and every count plausibility-gated; any violation
-/// returns nullptr with \p Error set. Never crashes on hostile input.
-std::unique_ptr<ConfluenceReport> deserializeConfluence(std::string_view Bytes,
-                                                        std::string *Error);
 
 } // namespace pypm::analysis::critical
 

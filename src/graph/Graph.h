@@ -146,8 +146,7 @@ public:
   /// Marks every node unreachable from the outputs as dead; returns the
   /// count swept. \p SweptIds, when non-null, receives the ids swept by
   /// THIS call (previously dead nodes are not re-reported) in ascending
-  /// order — the search loop prices exactly the newly dead nodes when
-  /// delta-costing a commit (sim::CostModel::commitDelta).
+  /// order.
   size_t removeUnreachable(std::vector<NodeId> *SweptIds = nullptr);
 
   /// Fire-local sweep: kills each seed that is no output and has no users,

@@ -13,10 +13,10 @@ using namespace pypm::plan;
 
 namespace {
 
-// v4: drops v2's embedded-profile section (v3 appended the optional
-// confluence certificate); older artifacts are rejected with a clean
-// version error.
-constexpr uint32_t kPlanVersion = 4;
+// v5: drops v3's confluence-certificate section (v4 dropped v2's
+// embedded profile); older artifacts are rejected with a clean version
+// error.
+constexpr uint32_t kPlanVersion = 5;
 
 void appendU32(std::string &Out, uint32_t V) {
   char Buf[4];
@@ -41,10 +41,10 @@ rewrite::RuleSet planRules(const pattern::Library &Lib, bool RulesOnly) {
 
 } // namespace
 
-std::string pypm::plan::serializePlan(
-    const pattern::Library &Lib, const term::Signature &Sig, bool RulesOnly,
-    DiagnosticEngine &Diags,
-    const analysis::critical::ConfluenceReport *Confluence) {
+std::string pypm::plan::serializePlan(const pattern::Library &Lib,
+                                      const term::Signature &Sig,
+                                      bool RulesOnly,
+                                      DiagnosticEngine &Diags) {
   std::string LibBytes = pattern::serializeLibrary(Lib, Sig);
 
   // Round-trip the library so the compiled streams match what the loader's
@@ -95,15 +95,6 @@ std::string pypm::plan::serializePlan(
   appendU32(Out, static_cast<uint32_t>(P.ChildPCs.size()));
   for (uint32_t C : P.ChildPCs)
     appendU32(Out, C);
-
-  Out.push_back(Confluence ? char(1) : char(0));
-  if (Confluence) {
-    std::string ConfBytes =
-        analysis::critical::serializeConfluence(*Confluence);
-    appendU32(Out, static_cast<uint32_t>(ConfBytes.size()));
-    Out += ConfBytes;
-  }
-
   return Out;
 }
 
@@ -214,22 +205,6 @@ public:
       P.ChildPCs.push_back(C);
     }
 
-    uint8_t HasConfluence;
-    if (!readU8(HasConfluence))
-      return nullptr;
-    if (HasConfluence > 1)
-      return fail("bad confluence-presence flag");
-    std::string_view ConfBytes;
-    if (HasConfluence) {
-      uint32_t ConfLen;
-      if (!readU32(ConfLen))
-        return nullptr;
-      if (ConfLen > Bytes.size() - Pos)
-        return fail("truncated embedded confluence certificate");
-      ConfBytes = Bytes.substr(Pos, ConfLen);
-      Pos += ConfLen;
-    }
-
     if (Pos != Bytes.size())
       return fail("trailing bytes after match plan payload");
 
@@ -254,17 +229,6 @@ public:
     if (!streamsAgree(P, Fresh, NumGuards, NumMus))
       return fail("plan streams disagree with embedded library "
                   "(corrupt or inconsistent artifact)");
-
-    // The embedded certificate is self-hardened (own magic/version/bounds
-    // gates); a blob that fails them rejects the artifact rather than
-    // loading as a silently absent certificate.
-    if (HasConfluence) {
-      std::string ConfError;
-      Plan->Confluence =
-          analysis::critical::deserializeConfluence(ConfBytes, &ConfError);
-      if (!Plan->Confluence)
-        return fail("embedded confluence certificate: " + ConfError);
-    }
 
     Plan->Prog = std::move(Fresh);
     return Plan;

@@ -6,7 +6,7 @@
 /// the compiled streams: the entry table, the symbol table, and the
 /// instruction/child-PC arrays.
 ///
-/// Layout (v4, little-endian):
+/// Layout (v5, little-endian):
 ///   magic "PYPL", u32 version
 ///   u32 libLen, libLen bytes of embedded .pypmbin
 ///   entries:  u32 count, per entry: name (u32 len + bytes),
@@ -17,11 +17,6 @@
 ///   code:     u32 count, per instr: u8 opcode, u32 A/B/C/firstChild/
 ///             numChildren
 ///   childPCs: u32 count, u32 each
-///   confluence: u8 hasConfluence; if 1: u32 confLen, confLen bytes of a
-///             confluence certificate (v3; analysis/CriticalPairs.h codec,
-///             self-contained magic/version/bounds hardening) — cached
-///             plans carry their certificate so `--search=auto` dispatches
-///             without re-running the analysis
 ///
 /// The loader is hardened like the .pypmbin reader (magic/version gates,
 /// count plausibility gates, per-operand bounds checks, trailing-byte
@@ -39,7 +34,6 @@
 #ifndef PYPM_PLAN_PLANSERIALIZER_H
 #define PYPM_PLAN_PLANSERIALIZER_H
 
-#include "analysis/CriticalPairs.h"
 #include "plan/Program.h"
 #include "rewrite/Rule.h"
 #include "support/Diagnostics.h"
@@ -55,14 +49,10 @@ namespace pypm::plan {
 /// mirrors RuleSet::addLibrary (skip match-only patterns). Internally
 /// round-trips the library through its binary form first, so the emitted
 /// streams are exactly what the loader's recompilation will produce.
-/// When \p Confluence is non-null its certificate is embedded so
-/// loaded plans can answer `--search=auto` without re-analysis. Returns
-/// the empty string and emits a diagnostic on failure.
+/// Returns the empty string and emits a diagnostic on failure.
 std::string serializePlan(const pattern::Library &Lib,
                           const term::Signature &Sig, bool RulesOnly,
-                          DiagnosticEngine &Diags,
-                          const analysis::critical::ConfluenceReport
-                              *Confluence = nullptr);
+                          DiagnosticEngine &Diags);
 
 /// A deserialized plan: the embedded library, the rule set reconstructed
 /// from the entry table, and the (recompiled, validated) program. Rules and
@@ -71,8 +61,6 @@ struct LoadedPlan {
   std::unique_ptr<pattern::Library> Lib;
   rewrite::RuleSet Rules;
   Program Prog;
-  /// Embedded confluence certificate, when present (v3).
-  std::unique_ptr<analysis::critical::ConfluenceReport> Confluence;
 };
 
 /// Deserializes a .pypmplan. Operator declarations of the embedded library

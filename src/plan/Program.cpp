@@ -80,90 +80,7 @@ void candidatesImpl(const Program &P, const Adapter &A,
     visitTree(P, A, Root, 0, Mask);
 }
 
-/// The batched frontier sweep behind Program::batchCandidates. NodeRoots
-/// is the struct-of-arrays work list: NodeRoots[T] holds the indices (into
-/// Roots) of every subject whose traversal reached tree node T. The sweep
-/// dequeues tree nodes in frontier order and, per node, runs the accept /
-/// group / edge logic over its whole root list — the per-root work is the
-/// same as visitTree's, but the tree node's data is resident while a
-/// contiguous list of roots streams through it.
-template <typename Adapter>
-void batchCandidatesImpl(const Program &P, const Adapter &A,
-                         std::span<const typename Adapter::Node> Roots,
-                         std::vector<uint8_t> &Masks) {
-  const size_t E = P.Entries.size();
-  const size_t NR = Roots.size();
-  Masks.assign(NR * E, 0);
-  if (P.WildcardBase.size() == E) {
-    for (size_t R = 0; R != NR; ++R)
-      std::copy(P.WildcardBase.begin(), P.WildcardBase.end(),
-                Masks.begin() + R * E);
-  } else {
-    for (size_t R = 0; R != NR; ++R)
-      for (uint32_t W : P.Wildcards)
-        Masks[R * E + W] = 1;
-  }
-  if (P.Tree.empty() || NR == 0)
-    return;
-
-  std::vector<std::vector<uint32_t>> NodeRoots(P.Tree.size());
-  NodeRoots[0].resize(NR);
-  for (size_t R = 0; R != NR; ++R)
-    NodeRoots[0][R] = static_cast<uint32_t>(R);
-  std::vector<uint32_t> Frontier{0};
-  for (size_t QI = 0; QI != Frontier.size(); ++QI) {
-    const uint32_t NodeIdx = Frontier[QI];
-    std::vector<uint32_t> Here = std::move(NodeRoots[NodeIdx]);
-    const TreeNode &TN = P.Tree[NodeIdx];
-    for (uint32_t EIdx : TN.Accept)
-      for (uint32_t R : Here)
-        Masks[size_t(R) * E + EIdx] = 1;
-    for (const TreeGroup &Gp : TN.Groups) {
-      for (uint32_t R : Here) {
-        typename Adapter::Node Cur = Roots[R];
-        bool Ok = true;
-        for (uint32_t I = 0; I < Gp.PathLen; ++I) {
-          uint32_t Step = P.PathPool[Gp.PathBegin + I];
-          if (Step >= A.arity(Cur)) {
-            Ok = false;
-            break;
-          }
-          Cur = A.child(Cur, Step);
-        }
-        if (!Ok)
-          continue;
-        uint32_t Op = A.op(Cur), Ar = A.arity(Cur);
-        for (const TreeEdge &TE : Gp.OpEdges)
-          if (TE.Key == Op) {
-            if (NodeRoots[TE.Child].empty())
-              Frontier.push_back(TE.Child);
-            NodeRoots[TE.Child].push_back(R);
-            break;
-          }
-        for (const TreeEdge &TE : Gp.ArityEdges)
-          if (TE.Key == Ar) {
-            if (NodeRoots[TE.Child].empty())
-              Frontier.push_back(TE.Child);
-            NodeRoots[TE.Child].push_back(R);
-            break;
-          }
-      }
-    }
-  }
-}
-
 } // namespace
-
-void Program::batchCandidates(const graph::Graph &G,
-                              std::span<const graph::NodeId> Roots,
-                              std::vector<uint8_t> &Masks) const {
-  batchCandidatesImpl(*this, GraphAdapter{G}, Roots, Masks);
-}
-
-void Program::batchCandidates(std::span<const term::TermRef> Roots,
-                              std::vector<uint8_t> &Masks) const {
-  batchCandidatesImpl(*this, TermAdapter{}, Roots, Masks);
-}
 
 void Program::candidates(const graph::Graph &G, graph::NodeId N,
                          std::vector<uint8_t> &Mask) const {

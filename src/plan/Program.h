@@ -38,7 +38,6 @@
 #include "pattern/Pattern.h"
 #include "term/Term.h"
 
-#include <span>
 #include <string>
 #include <vector>
 
@@ -189,28 +188,6 @@ struct Program {
 
   /// Same prefilter over an explicit term (tests and the CLI).
   void candidates(term::TermRef T, std::vector<uint8_t> &Mask) const;
-
-  /// Batched prefilter: one cache-friendly frontier sweep of the
-  /// discrimination tree computes candidates() for *every* root in
-  /// \p Roots at once. Instead of one root-at-a-time depth-first walk per
-  /// subject, the sweep keeps a struct-of-arrays work list — for each tree
-  /// node, the roots whose traversal reached it — and processes tree nodes
-  /// in frontier order, so each node's accept list, groups, and edge keys
-  /// are touched once per *batch* rather than once per root. Every edge has
-  /// a unique parent, so each tree node is processed at most once per
-  /// sweep.
-  ///
-  /// \p Masks is resized to Roots.size() * numEntries(); row I (stride
-  /// numEntries()) is byte-for-byte what candidates(Roots[I]) would
-  /// produce — the survival tests are identical, only their schedule
-  /// differs.
-  void batchCandidates(const graph::Graph &G,
-                       std::span<const graph::NodeId> Roots,
-                       std::vector<uint8_t> &Masks) const;
-
-  /// Term-batch overload (tests and term-level batch matching).
-  void batchCandidates(std::span<const term::TermRef> Roots,
-                       std::vector<uint8_t> &Masks) const;
 
   ProgramInfo info() const;
 

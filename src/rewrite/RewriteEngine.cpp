@@ -39,11 +39,9 @@
 #include "rewrite/RewriteEngine.h"
 
 #include "analysis/Analysis.h"
-#include "analysis/CriticalPairs.h"
 #include "match/Declarative.h"
 #include "plan/Executor.h"
 #include "plan/PlanBuilder.h"
-#include "search/Search.h"
 #include "support/FaultInjection.h"
 #include "support/ThreadPool.h"
 
@@ -227,9 +225,6 @@ public:
       Opts.MachineOpts.EngineBudget = Bgt;
     }
     Faults = Opts.Faults ? Opts.Faults : FaultInjector::global();
-    // The batched frontier sweep replaces per-node discrimination-tree
-    // walks; it only exists where those walks exist.
-    BatchActive = Opts.Batch && MK == MatcherKind::Plan && Opts.UseRootIndex;
     // The commit path's executor is constructed here, not lazily at
     // the first attempt: construction is run setup, and leaving it lazy
     // would bill the first *timed* attempt for it (visible as a fixed
@@ -287,18 +282,6 @@ private:
   /// Set once when the run must halt; sticky. None while running.
   BudgetReason Stop = BudgetReason::None;
 
-  // --- Batched discovery (RewriteOptions::Batch) ----------------------
-  /// True when the per-pass frontier sweep is on (Batch + Plan matcher +
-  /// root index). Masks are per pass: BatchRoots lists the swept nodes,
-  /// BatchRows maps node id -> row (UINT32_MAX when unswept), BatchMasks
-  /// holds one candidates() row per root (stride = numEntries()), and
-  /// BatchRowValid drops rows whose node's unrolling a mid-pass fire
-  /// changed (they fall back to a live per-node walk).
-  bool BatchActive = false;
-  std::vector<NodeId> BatchRoots;
-  std::vector<uint32_t> BatchRows;
-  std::vector<uint8_t> BatchMasks;
-  std::vector<uint8_t> BatchRowValid;
   /// The commit path's executor over Arena (Plan matcher).
   std::unique_ptr<plan::Executor> CommitExec;
 
@@ -434,7 +417,6 @@ private:
     while (Changed && Stats.Passes < Opts.MaxPasses && !halted()) {
       Changed = false;
       ++Stats.Passes;
-      prepareBatchMasks();
       // RootsFirst walks a per-pass snapshot of the reverse topological
       // order: nodes swept mid-pass are skipped, new nodes wait for the
       // next pass. OperandsFirst walks ascending ids, so operands come
@@ -585,12 +567,9 @@ private:
     return RootFilters[I] && !RootFilters[I]->count(G.op(N));
   }
 
-  /// Computes the plan candidate mask for one node: the pass-start batch
-  /// row while it is still valid, else one tree walk (empty unless the plan
-  /// prefilter is active).
+  /// Computes the plan candidate mask for one node: one tree walk (empty
+  /// unless the plan prefilter is active).
   void planCandidates(NodeId N, std::vector<uint8_t> &Cand) const {
-    if (BatchActive && batchMaskFor(N, Cand))
-      return;
     if (MK == MatcherKind::Plan && Opts.UseRootIndex)
       Plan->candidates(G, N, Cand);
     else
@@ -629,9 +608,7 @@ private:
                     bool RewriteMode) const {
     const auto &Entries = Rules.entries();
     D.Attempts.reserve(Entries.size());
-    // One tree traversal covers every entry. Batch mode reads the
-    // pass-start sweep's row instead (same mask; rows are immutable during
-    // discovery, so concurrent reads are safe).
+    // One tree traversal covers every entry.
     planCandidates(N, W.Cand);
     for (size_t I = 0; I != Entries.size(); ++I) {
       if (QSnapshot[I])
@@ -759,61 +736,13 @@ private:
     return false;
   }
 
-  /// Batch mode, once per pass: one frontier sweep of the discrimination
-  /// tree computes the candidate masks of every live node at once
-  /// (Program::batchCandidates), instead of one depth-first walk per
-  /// node. Row I is byte-for-byte candidates(BatchRoots[I]), so every
-  /// skip decision — and every RootSkips counter — is unchanged; only the
-  /// traversal schedule is.
-  void prepareBatchMasks() {
-    if (!BatchActive)
-      return;
-    BatchRoots.clear();
-    const size_t NumNodes = G.numNodes();
-    BatchRows.assign(NumNodes, UINT32_MAX);
-    for (NodeId N = 0; N < NumNodes; ++N) {
-      if (G.isDead(N))
-        continue;
-      BatchRows[N] = static_cast<uint32_t>(BatchRoots.size());
-      BatchRoots.push_back(N);
-    }
-    Plan->batchCandidates(G, BatchRoots, BatchMasks);
-    BatchRowValid.assign(BatchRoots.size(), 1);
-    Stats.BatchedNodes += BatchRoots.size();
-  }
-
-  /// Copies node \p N's batch-swept candidate row into \p Mask. False when
-  /// the node has no still-valid row (unswept, post-sweep, or dirtied by a
-  /// mid-pass fire) — the caller walks the tree live instead.
-  bool batchMaskFor(NodeId N, std::vector<uint8_t> &Mask) const {
-    if (N >= BatchRows.size())
-      return false;
-    uint32_t Row = BatchRows[N];
-    if (Row == UINT32_MAX || !BatchRowValid[Row])
-      return false;
-    const size_t NE = Plan->numEntries();
-    const uint8_t *Src = BatchMasks.data() + size_t(Row) * NE;
-    Mask.assign(Src, Src + NE);
-    return true;
-  }
-
-  void invalidateBatchRow(NodeId N) {
-    if (N < BatchRows.size()) {
-      uint32_t Row = BatchRows[N];
-      if (Row != UINT32_MAX)
-        BatchRowValid[Row] = 0;
-    }
-  }
-
   /// Tries each pattern from \p StartEntry in order at node N; on a match
   /// fires the first rule whose guard passes. Absorbs any exception thrown
   /// by the matcher, a guard, or the RHS builder (see onAttemptFault).
   /// Returns true if the graph changed.
   bool visitNode(NodeId N, bool RewriteMode, size_t StartEntry = 0) {
     const auto &Entries = Rules.entries();
-    // One tree traversal covers every entry. Batch mode substitutes the
-    // pass-start sweep's row when still valid (identical mask; a dirtied
-    // row falls back to the live walk).
+    // One tree traversal covers every entry.
     planCandidates(N, CandMask);
     for (size_t I = StartEntry; I != Entries.size(); ++I) {
       if (halted())
@@ -920,10 +849,9 @@ private:
       NodeId Replacement = buildRhsImpl(G, View, R->Rhs, W, *SI, Faults);
       if (Replacement == graph::InvalidNode)
         continue; // RHS build failed (unbound var); try next rule
-      // Invalidate term conversions, discovery results, and batch-swept
-      // candidate rows downstream of this fire *before*
-      // the user edges are redirected away (afterwards the old users are
-      // unreachable from N).
+      // Invalidate term conversions and discovery results downstream of
+      // this fire *before* the user edges are redirected away (afterwards
+      // the old users are unreachable from N).
       markUsersDirty(N);
       // Destructive replacement (§2): redirect all *existing* uses — the
       // replacement's own references to the matched value stay — then
@@ -945,17 +873,16 @@ private:
   /// Marks every transitive user of \p Root dirty: their tree unrollings
   /// reach Root, so redirecting Root's uses changes what they match —
   /// and nothing else's unrolling changes, which makes this walk the
-  /// *exact* invalidation set for every cached match artifact. Three
-  /// caches honor it: the term view's conversions, the commit phase's
-  /// Dirty bits, and the pass's batch-swept candidate rows. Conservative
-  /// (already-committed users are marked too, harmlessly); traverses
-  /// through post-snapshot nodes but only snapshot ids carry a Dirty bit —
-  /// new nodes always take the live path anyway. When the term view is the
-  /// only cache in play (no pool, no batch), the walk stops at unconverted
-  /// users: the view's memo is closed under inputs, so nothing above an
-  /// unconverted node is converted.
+  /// *exact* invalidation set for every cached match artifact. Two caches
+  /// honor it: the term view's conversions and the commit phase's Dirty
+  /// bits. Conservative (already-committed users are marked too,
+  /// harmlessly); traverses through post-snapshot nodes but only snapshot
+  /// ids carry a Dirty bit — new nodes always take the live path anyway.
+  /// When the term view is the only cache in play (no pool), the walk
+  /// stops at unconverted users: the view's memo is closed under inputs,
+  /// so nothing above an unconverted node is converted.
   void markUsersDirty(NodeId Root) {
-    const bool ViewOnly = Dirty.empty() && !BatchActive;
+    const bool ViewOnly = Dirty.empty();
     if (WalkMark.size() < G.numNodes()) {
       WalkMark.reserve(G.numNodes() + G.numNodes() / 8);
       WalkMark.resize(G.numNodes(), 0);
@@ -976,7 +903,6 @@ private:
           continue;
         if (U < Dirty.size())
           Dirty[U] = 1;
-        invalidateBatchRow(U);
         WalkStack.push_back(U);
       }
     }
@@ -1016,9 +942,8 @@ CommitObserver *pypm::rewrite::setCommitObserver(CommitObserver *O) {
 
 NodeId pypm::rewrite::buildRhs(Graph &G, graph::TermView &View,
                                const RhsExpr *Rhs, const match::Witness &W,
-                               const graph::ShapeInference &SI,
-                               FaultInjector *Faults) {
-  return buildRhsImpl(G, View, Rhs, W, SI, Faults);
+                               const graph::ShapeInference &SI) {
+  return buildRhsImpl(G, View, Rhs, W, SI, /*Faults=*/nullptr);
 }
 
 RewriteStats pypm::rewrite::rewriteToFixpoint(Graph &G, const RuleSet &Rules,
@@ -1040,31 +965,6 @@ RewriteStats pypm::rewrite::rewriteToFixpoint(Graph &G, const RuleSet &Rules,
       return Stats;
     }
   }
-  if (Opts.Search == SearchStrategy::Auto) {
-    // Resolve the certificate-directed strategy AFTER the lint preflight
-    // (a refused run must spend zero search work) and BEFORE the search
-    // dispatch. Certified-confluent means every strategy reaches the same
-    // normal form, so greedy's single pass is the optimum; any conflict
-    // or undischarged obligation keeps beam's speculative pricing. The
-    // resolved run is literally the greedy/beam engine with the same
-    // knobs — bit-identical graphs and stats, which the differential in
-    // tests/test_search.cpp pins.
-    bool Certified;
-    if (Opts.Confluence) {
-      Certified = Opts.Confluence->certified();
-    } else {
-      Certified =
-          analysis::critical::analyzeConfluence(Rules, G.signature())
-              .certified();
-    }
-    Opts.Search = Certified ? SearchStrategy::Greedy : SearchStrategy::Beam;
-  }
-  // Cost-directed commit selection runs its own loop (src/search/); the
-  // degenerate configurations (Lookahead == 0 or BeamWidth == 0) fall
-  // through to the greedy engine below, which is what makes them
-  // bit-identical to greedy by construction (see RewriteOptions::Search).
-  if (search::searchActive(Opts))
-    return search::searchRewrite(G, Rules, SI, Opts);
   return Engine(G, Rules, &SI, Opts).run(/*RewriteMode=*/true);
 }
 
@@ -1081,8 +981,6 @@ std::string RewriteStats::summary() const {
   Out += " matches=" + std::to_string(TotalMatches);
   Out += " fired=" + std::to_string(TotalFired);
   Out += " swept=" + std::to_string(NodesSwept);
-  if (BatchedNodes)
-    Out += " batched=" + std::to_string(BatchedNodes);
   char Buf[80];
   std::snprintf(Buf, sizeof(Buf),
                 " matchTime=%.3fms discoveryTime=%.3fms totalTime=%.3fms",

@@ -52,10 +52,6 @@
 #include <optional>
 #include <string>
 
-namespace pypm::analysis::critical {
-struct ConfluenceReport;
-} // namespace pypm::analysis::critical
-
 namespace pypm {
 class FaultInjector;
 } // namespace pypm
@@ -63,10 +59,6 @@ class FaultInjector;
 namespace pypm::plan {
 struct Program;
 } // namespace pypm::plan
-
-namespace pypm::sim {
-class CostModel;
-} // namespace pypm::sim
 
 namespace pypm::rewrite {
 
@@ -125,27 +117,6 @@ struct RewriteStats {
   /// fan-out phases (NumThreads >= 1) or, with no pool, the same value as
   /// MatchSeconds. The thread-sweep benches report this.
   double DiscoverySeconds = 0.0;
-  /// Nodes whose plan candidate mask came from a pass-start batched
-  /// frontier sweep instead of a per-node tree traversal
-  /// (RewriteOptions::Batch with the Plan matcher; 0 otherwise).
-  uint64_t BatchedNodes = 0;
-  /// Cost-directed search accounting (RewriteOptions::Search != Greedy
-  /// with Lookahead >= 1; all zero otherwise — the degenerate
-  /// configurations dispatch to the greedy engine and report greedy's
-  /// stats bit for bit). SearchSteps counts enumeration sweeps (committed
-  /// commits plus the final fixpoint-proving sweep), SearchCandidates the
-  /// fireable candidates enumerated on the committed path, and
-  /// SearchExpansions the speculative clone-apply-price evaluations.
-  uint64_t SearchSteps = 0;
-  uint64_t SearchCandidates = 0;
-  uint64_t SearchExpansions = 0;
-  /// Wall-clock inside speculative expansion + scoring (a subinterval of
-  /// TotalSeconds; excluded from equality comparisons like all Seconds).
-  double SearchSeconds = 0.0;
-  /// sim::CostModel whole-graph Seconds before the first commit and after
-  /// the last (search mode only; both zero under the greedy engine).
-  double ModeledCostBefore = 0.0;
-  double ModeledCostAfter = 0.0;
   /// Structured outcome of the run: Completed, or the most severe of
   /// PatternQuarantined / FaultInjected / BudgetExhausted / Cancelled.
   /// Deterministic wherever the triggering ceilings are (step/μ/rewrite
@@ -196,23 +167,6 @@ enum class Traversal : uint8_t {
 ///    set for all patterns at once.
 enum class MatcherKind : uint8_t { Machine, Plan };
 
-/// How commits are selected once matches are discovered (see DESIGN.md
-/// §"Cost-directed search"). Greedy is §2.4's strategy: fire the first
-/// rule of the first witness at the first matching pattern, in canonical
-/// order. BestOfN and Beam enumerate competing candidates per sweep —
-/// including alternate witnesses of the same pattern via the resume
-/// machinery — price each with sim::CostModel, and commit the cheapest:
-///  - BestOfN: score the first BeamWidth candidates (each rolled forward
-///    Lookahead-1 greedy steps on a speculative clone), commit the best;
-///  - Beam: keep the BeamWidth cheapest partial commit sequences, expand
-///    them to depth Lookahead, commit the first step of the winner
-///    (receding horizon), re-enumerate, repeat.
-/// Auto's wire value is 3 (server protocol Search field) — keep the
-/// enumerator order stable. Auto never reaches searchActive(): the engine
-/// resolves it to Greedy (certified-confluent rule set) or Beam (anything
-/// else) right after the lint preflight, before any search dispatch.
-enum class SearchStrategy : uint8_t { Greedy, BestOfN, Beam, Auto };
-
 struct RewriteOptions {
   unsigned MaxPasses = 64;
   uint64_t MaxRewrites = 1'000'000;
@@ -224,22 +178,12 @@ struct RewriteOptions {
   /// cost difference; results are identical, tests assert it).
   MatcherKind Matcher = MatcherKind::Plan;
   /// Use this already-compiled program instead of compiling one per run
-  /// (e.g. loaded from a .pypmplan) wherever a plan runs: the Plan matcher,
-  /// and the cost-directed search loop under either matcher. Borrowed,
-  /// must outlive the run, and must have been compiled from an identical
+  /// (e.g. loaded from a .pypmplan) under the Plan matcher. Borrowed, must
+  /// outlive the run, and must have been compiled from an identical
   /// rule set — the engine verifies entry names and falls back to a fresh
   /// compile on mismatch.
   const plan::Program *PrecompiledPlan = nullptr;
   Traversal Order = Traversal::OperandsFirst;
-  /// Batched discovery: with the Plan matcher and the prefilter on, one
-  /// struct-of-arrays frontier sweep of the discrimination tree computes
-  /// every pass-start node's candidate mask at once
-  /// (Program::batchCandidates) instead of one tree walk per node.
-  /// Bit-identical to per-root discovery: a fire invalidates the
-  /// precomputed masks of its dirty region (the fired node's transitive
-  /// users), which fall back to a per-node walk. A no-op under the
-  /// reference Machine, which has no tree.
-  bool Batch = false;
   /// Worker threads for the parallel match-discovery phase. 0 means "no
   /// pool": every node is visited live by the one pass loop. N >= 1 fans
   /// node→pattern match attempts out over N workers against a frozen
@@ -251,38 +195,6 @@ struct RewriteOptions {
   /// bound it by kMaxPoolThreads (support/ThreadPool.h).
   unsigned NumThreads = 0;
   match::Machine::Options MachineOpts;
-
-  // --- Cost-directed search (pypm::search) -------------------------------
-
-  /// Commit-selection strategy. Greedy runs the engine above. BestOfN and
-  /// Beam run the cost-directed search loop (src/search/) — EXCEPT in the
-  /// degenerate configurations Lookahead == 0 or BeamWidth == 0, which
-  /// dispatch to the greedy engine: with no pricing horizon there is
-  /// nothing to rank, and the canonical-order tie-break IS greedy. That
-  /// dispatch is what makes `--search=beam --beam-width=1 --lookahead=0`
-  /// bit-identical to greedy by construction (graphs, witnesses, stats);
-  /// the differential suite in tests/test_search.cpp pins it.
-  SearchStrategy Search = SearchStrategy::Greedy;
-  /// Beam width (Beam) / number of candidates scored per step (BestOfN).
-  unsigned BeamWidth = 4;
-  /// Commit horizon priced per candidate: 1 scores the immediate cost
-  /// delta, L > 1 rolls each survivor forward on speculative clones to
-  /// depth L before ranking. 0 disables pricing entirely (greedy).
-  unsigned Lookahead = 1;
-  /// Witnesses enumerated per (node, pattern) via the resume machinery;
-  /// each distinct witness with a passing rule guard is its own candidate
-  /// (greedy only ever sees witness 0).
-  unsigned SearchWitnesses = 4;
-  /// Cost model pricing the candidates. Borrowed; null uses a default
-  /// a6000-like model. Ignored by the greedy engine.
-  const sim::CostModel *SearchCost = nullptr;
-  /// Confluence certificate for THIS rule set, consulted only when Search
-  /// == Auto: Certified resolves to Greedy (search on a confluent set is
-  /// pure tax — every strategy reaches the same normal form), anything
-  /// else resolves to Beam. Borrowed, not owned (plan-loaded certificates
-  /// live in the LoadedPlan). Null makes the engine run the analysis
-  /// itself on dispatch.
-  const analysis::critical::ConfluenceReport *Confluence = nullptr;
 
   // --- Resource governance and fault tolerance ---------------------------
 
@@ -363,16 +275,12 @@ protected:
 CommitObserver *setCommitObserver(CommitObserver *O);
 
 /// Builds the replacement graph for \p Rhs under the witness \p W.
-/// Exposed for the partitioner, the search loop, and tests. New nodes are
-/// appended to the graph and shape-inferred; returns the replacement root.
-/// \p Faults, when non-null, is consulted per replacement node built
-/// (FaultInjector::onRhsBuild) — the search loop passes its injector on
-/// the committed path so injected RHS faults land in search runs exactly
-/// as they do in greedy runs; speculative builds always pass nullptr.
+/// Exposed for the critical-pair move generator (analysis/Moves.h) and
+/// tests. New nodes are appended to the graph and shape-inferred; returns
+/// the replacement root, or InvalidNode when a variable is unbound.
 graph::NodeId buildRhs(graph::Graph &G, graph::TermView &View,
                        const pattern::RhsExpr *Rhs, const match::Witness &W,
-                       const graph::ShapeInference &SI,
-                       FaultInjector *Faults = nullptr);
+                       const graph::ShapeInference &SI);
 
 } // namespace pypm::rewrite
 

@@ -18,8 +18,6 @@ namespace {
 
 constexpr char kRequestMagic[4] = {'P', 'Y', 'R', 'Q'};
 constexpr char kReplyMagic[4] = {'P', 'Y', 'R', 'P'};
-/// The one defined bit of a rewrite request's Flags byte.
-constexpr uint8_t kFlagBatch = 2;
 
 uint64_t fnv(std::string_view Bytes) {
   Fnv1aHash H;
@@ -295,13 +293,8 @@ std::string pypm::server::encodeRewriteRequest(const RewriteRequest &R) {
   putU64(B, R.MaxRewrites);
   putU32(B, R.Threads);
   B.push_back(static_cast<char>(R.Matcher));
-  B.push_back(static_cast<char>(R.Batch ? kFlagBatch : 0));
   putU64(B, R.FaultSiteSeed);
   putU64(B, R.FaultSitePeriod);
-  B.push_back(static_cast<char>(R.Search));
-  putU32(B, R.BeamWidth);
-  putU32(B, R.Lookahead);
-  putU32(B, R.SearchWitnesses);
   return B;
 }
 
@@ -309,7 +302,7 @@ bool pypm::server::decodeRewriteRequest(std::string_view Body,
                                         RewriteRequest &Out,
                                         std::string &Err) {
   Cursor C(Body);
-  uint8_t Tag = 0, Named = 0, Flags = 0;
+  uint8_t Tag = 0, Named = 0;
   if (!C.u8(Tag) || Tag != static_cast<uint8_t>(FrameType::RewriteRequest)) {
     Err = "not a rewrite request";
     return false;
@@ -318,10 +311,8 @@ bool pypm::server::decodeRewriteRequest(std::string_view Body,
             C.str(Out.GraphText) && C.u64(Out.DeadlineMicros) &&
             C.u64(Out.MaxSteps) && C.u64(Out.MaxMuUnfolds) &&
             C.u64(Out.MaxRewrites) && C.u32(Out.Threads) &&
-            C.u8(Out.Matcher) && C.u8(Flags) && C.u64(Out.FaultSiteSeed) &&
-            C.u64(Out.FaultSitePeriod) && C.u8(Out.Search) &&
-            C.u32(Out.BeamWidth) && C.u32(Out.Lookahead) &&
-            C.u32(Out.SearchWitnesses);
+            C.u8(Out.Matcher) && C.u64(Out.FaultSiteSeed) &&
+            C.u64(Out.FaultSitePeriod);
   if (!Ok || !C.atEnd()) {
     Err = Ok ? "trailing bytes after rewrite request"
              : "truncated rewrite request body";
@@ -329,13 +320,11 @@ bool pypm::server::decodeRewriteRequest(std::string_view Body,
   }
   const bool KnownMatcher =
       Out.Matcher == 0 || Out.Matcher == 1 || Out.Matcher == 3;
-  if (Named > 1 || !KnownMatcher || (Flags & ~kFlagBatch) != 0 ||
-      Out.Search > 3 || Out.Threads > kMaxPoolThreads) {
+  if (Named > 1 || !KnownMatcher || Out.Threads > kMaxPoolThreads) {
     Err = "rewrite request field out of range";
     return false;
   }
   Out.NamedRuleSet = Named != 0;
-  Out.Batch = (Flags & kFlagBatch) != 0;
   return true;
 }
 

@@ -107,23 +107,12 @@ struct RewriteRequest {
   /// named matchers that no longer exist and are rejected at decode; they
   /// are not reused.
   uint8_t Matcher = 0;
-  /// Flags byte bit 1 (kFlagBatch). Bit 0 named the retired incremental
-  /// memo; a request that sets it, or any other bit, is rejected at decode.
-  bool Batch = false;
   /// Per-request deterministic fault injection: the site-schedule harness
   /// (support/FaultInjection.h) armed for this run only. 0 period = off.
   uint64_t FaultSiteSeed = 0;
   uint64_t FaultSitePeriod = 0;
-  /// Cost-directed commit selection (RewriteOptions::Search): 0 = greedy,
-  /// 1 = best-of-n, 2 = beam, 3 = auto (certificate-directed: greedy when
-  /// the rule set's confluence certificate proves order independence, beam
-  /// otherwise). The width/lookahead/witness knobs follow the
-  /// zero-means-default convention of every other field here, so an
-  /// all-zero request still means a plain greedy `pypmc rewrite`.
-  uint8_t Search = 0;
-  uint32_t BeamWidth = 0;
-  uint32_t Lookahead = 0;
-  uint32_t SearchWitnesses = 0;
+  // The body ends at FaultSitePeriod: a longer body (such as one in the
+  // retired layout with a Flags byte and search fields) is malformed.
 
   bool operator==(const RewriteRequest &) const = default;
 };

@@ -164,18 +164,8 @@ RewriteReply Server::handle(const RewriteRequest &R) {
   EOpts.Matcher = R.Matcher == 1 ? rewrite::MatcherKind::Machine
                                  : rewrite::MatcherKind::Plan;
   EOpts.PrecompiledPlan = &E->prog();
-  EOpts.Batch = R.Batch;
   if (R.MaxRewrites)
     EOpts.MaxRewrites = R.MaxRewrites;
-  // Cost-directed commit selection; zero-valued knobs keep the engine
-  // defaults (so Search=beam with all-zero knobs means width 4, depth 1).
-  EOpts.Search = static_cast<rewrite::SearchStrategy>(R.Search);
-  if (R.BeamWidth)
-    EOpts.BeamWidth = R.BeamWidth;
-  if (R.Lookahead)
-    EOpts.Lookahead = R.Lookahead;
-  if (R.SearchWitnesses)
-    EOpts.SearchWitnesses = R.SearchWitnesses;
   EOpts.Diags = &Diags;
 
   // Per-request governance: a fresh budget and cancellation token — this

@@ -169,24 +169,6 @@ GraphCost CostModel::graphCost(const Graph &G) const {
   return Total;
 }
 
-GraphCost CostModel::nodesCost(const Graph &G,
-                               std::span<const NodeId> Nodes) const {
-  GraphCost Total;
-  for (NodeId N : Nodes) {
-    KernelCost C = nodeCost(G, N);
-    Total.Seconds += C.Seconds;
-    Total.Flops += C.Flops;
-    Total.Bytes += C.Bytes;
-    Total.Kernels += C.Launches;
-  }
-  return Total;
-}
-
-double CostModel::commitDelta(const Graph &G, std::span<const NodeId> Added,
-                              std::span<const NodeId> Removed) const {
-  return nodesCost(G, Added).Seconds - nodesCost(G, Removed).Seconds;
-}
-
 KernelCost CostModel::fusedRegionCost(const Graph &G,
                                       std::span<const NodeId> Interior,
                                       std::span<const NodeId> Frontier,

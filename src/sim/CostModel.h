@@ -79,25 +79,6 @@ public:
   /// report).
   GraphCost graphCost(const graph::Graph &G) const;
 
-  /// Sum of nodeCost over \p Nodes. Works on dead nodes too (a swept
-  /// node's operator, attributes, and inferred types stay allocated), so
-  /// a commit's freed cost can be priced after the sweep.
-  GraphCost nodesCost(const graph::Graph &G,
-                      std::span<const graph::NodeId> Nodes) const;
-
-  /// Incremental delta-costing for one committed rewrite: the Seconds a
-  /// commit adds (its appended live replacement nodes \p Added) minus the
-  /// Seconds it frees (the previously-live nodes it swept, \p Removed).
-  /// Because graphCost is a sum of per-node costs over the live set,
-  ///   graphCost(after) == graphCost(before) + commitDelta(...)
-  /// exactly, and deltas of disjoint commits are additive — the property
-  /// the beam search relies on to price a partial commit sequence without
-  /// re-pricing the whole graph per step
-  /// (tests/test_costmodel.cpp pins both properties).
-  double commitDelta(const graph::Graph &G,
-                     std::span<const graph::NodeId> Added,
-                     std::span<const graph::NodeId> Removed) const;
-
   /// Cost of a region as if its nodes ran as ONE fused kernel: summed
   /// flops, boundary-only bytes, one launch. Used to price directed-
   /// graph-partitioning products (§4.2).

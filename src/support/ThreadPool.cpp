@@ -2,21 +2,18 @@
 
 #include "support/ThreadPool.h"
 
+#include "support/ParseNumber.h"
+
 #include <algorithm>
-#include <charconv>
 #include <utility>
 
 using namespace pypm;
 
 std::optional<unsigned> pypm::parseThreadCount(std::string_view S) {
-  unsigned V = 0;
-  const char *End = S.data() + S.size();
-  // from_chars rejects a leading sign or blank and reports overflow; the
-  // whole string must be consumed.
-  auto [Ptr, Ec] = std::from_chars(S.data(), End, V);
-  if (S.empty() || Ec != std::errc() || Ptr != End || V > kMaxPoolThreads)
+  std::optional<uint64_t> V = parseCount(S);
+  if (!V || *V > kMaxPoolThreads)
     return std::nullopt;
-  return V;
+  return static_cast<unsigned>(*V);
 }
 
 ThreadPool::ThreadPool(unsigned Threads) {

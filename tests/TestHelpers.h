@@ -6,8 +6,8 @@
 /// the two shared differential oracles — plan executor ≡ reference Machine
 /// per attempt (expectExecutorMatchesMachine) and per run
 /// (expectSameGraph) — and the zoo-differential scaffolding (runModel +
-/// the engine-run equality bars) shared by the MatchPlan / batch /
-/// fire-local / search suites, and the seeded random DAGs
+/// the engine-run equality bars) shared by the MatchPlan and fire-local
+/// suites, and the seeded random DAGs
 /// (randomDag) of the fire-local and graph-codec suites.
 ///
 //===----------------------------------------------------------------------===//
@@ -25,16 +25,12 @@
 #include "plan/Executor.h"
 #include "plan/PlanBuilder.h"
 #include "rewrite/RewriteEngine.h"
-#include "search/Search.h"
-#include "sim/CostModel.h"
 #include "support/Random.h"
 #include "term/TermParser.h"
 
 #include <gtest/gtest.h>
 
-#include <limits>
 #include <optional>
-#include <set>
 
 namespace pypm::testing {
 
@@ -292,8 +288,7 @@ inline void expectSameRewrites(const RunResult &A, const RunResult &B,
 }
 
 /// What must agree between two runs of the *same* matcher kind (across
-/// thread counts, or with and without batched discovery): every observable
-/// except wall-clock and the mode-descriptive batch counter.
+/// thread counts): every observable except wall-clock.
 inline void expectFullyEqual(const RunResult &A, const RunResult &B,
                              const std::string &Label) {
   SCOPED_TRACE(Label);
@@ -329,69 +324,6 @@ inline rewrite::RewriteOptions machineOpts(unsigned Threads) {
   O.Matcher = rewrite::MatcherKind::Machine;
   O.NumThreads = Threads;
   return O;
-}
-
-//===----------------------------------------------------------------------===//
-// Exhaustive small-graph search oracle
-//===----------------------------------------------------------------------===//
-
-/// The true optimum the beam search approximates: exhaustively explores
-/// EVERY commit sequence reachable from \p G — using the search's own move
-/// generator (search::enumerateCandidates) and transition function
-/// (search::applyCandidate), so oracle and subject agree exactly on what a
-/// "move" is — and returns the cheapest modeled cost over all reachable
-/// fixpoints. States are deduplicated by their printed graph (different
-/// commit orders reaching the same graph are explored once).
-///
-/// Exponential by design: only for seeded graphs of a few nodes. \p
-/// MaxStates / \p MaxDepth are safety valves for accidental blowups or
-/// non-terminating rule sets (a ping-pong pair never reaches a fixpoint);
-/// a depth-capped branch prices its current state as if terminal, keeping
-/// the result a valid upper bound on the optimum either way.
-inline double exhaustiveOptimum(const graph::Graph &G,
-                                const rewrite::RuleSet &Rules,
-                                const graph::ShapeInference &SI,
-                                const sim::CostModel &CM,
-                                unsigned MaxWitnesses = 4,
-                                size_t MaxStates = 20000,
-                                unsigned MaxDepth = 32) {
-  const plan::Program Plan = plan::PlanBuilder::compile(Rules, G.signature());
-  search::EnumOptions EO;
-  EO.MaxWitnesses = MaxWitnesses;
-  EO.Plan = &Plan;
-  struct State {
-    std::unique_ptr<graph::Graph> G;
-    unsigned Depth = 0;
-  };
-  std::vector<State> Stack;
-  Stack.push_back({std::make_unique<graph::Graph>(G), 0});
-  std::set<std::string> Seen{graph::writeGraphText(G)};
-  double Best = std::numeric_limits<double>::infinity();
-  size_t Explored = 0;
-  while (!Stack.empty() && Explored < MaxStates) {
-    State S = std::move(Stack.back());
-    Stack.pop_back();
-    ++Explored;
-    std::vector<search::Candidate> Cands =
-        search::enumerateCandidates(*S.G, Rules, EO);
-    bool Expanded = false;
-    if (S.Depth < MaxDepth)
-      for (const search::Candidate &C : Cands) {
-        auto GC = std::make_unique<graph::Graph>(*S.G);
-        search::ApplyResult R =
-            search::applyCandidate(*GC, C, Rules, SI, CM, {}, nullptr, &Plan);
-        if (!R.Applied)
-          continue;
-        std::string Key = graph::writeGraphText(*GC);
-        if (!Seen.insert(std::move(Key)).second)
-          continue;
-        Stack.push_back({std::move(GC), S.Depth + 1});
-        Expanded = true;
-      }
-    if (!Expanded)
-      Best = std::min(Best, CM.graphCost(*S.G).Seconds);
-  }
-  return Best;
 }
 
 //===----------------------------------------------------------------------===//

@@ -561,59 +561,6 @@ rule r for P(x) { return Gelu(x); }
             std::string::npos);
 }
 
-TEST(AnalysisPreflight, LintRejectionUnderSearchAndBatchIsInert) {
-  // S3: the preflight refusal must compose with the cost-directed search
-  // and the batched discovery mode — a refused run spends zero search
-  // work (no clones priced, no steps) and leaves the graph byte-identical,
-  // for beam, auto, and their --batch combinations alike.
-  term::Signature Sig;
-  std::unique_ptr<pattern::Library> Lib = dsl::compileOrDie(R"(
-op Relu(1);
-op Gelu(1);
-pattern P(x) {
-  assert x.shape.rank == 1 && x.shape.rank == 2;
-  return Relu(x);
-}
-rule r for P(x) { return Gelu(x); }
-)",
-                                                            Sig);
-  rewrite::RuleSet RS;
-  RS.addLibrary(*Lib);
-  auto G = tinyGraph(Sig);
-  std::string Before = graph::writeGraphText(*G);
-
-  struct Combo {
-    rewrite::SearchStrategy Search;
-    bool Batch;
-    const char *Label;
-  };
-  const Combo Combos[] = {
-      {rewrite::SearchStrategy::Beam, false, "beam"},
-      {rewrite::SearchStrategy::Beam, true, "beam+batch"},
-      {rewrite::SearchStrategy::Auto, false, "auto"},
-      {rewrite::SearchStrategy::Auto, true, "auto+batch"},
-  };
-  sim::CostModel CM;
-  for (const Combo &C : Combos) {
-    SCOPED_TRACE(C.Label);
-    rewrite::RewriteOptions Opts;
-    Opts.Lint = true;
-    Opts.Search = C.Search;
-    Opts.BeamWidth = 2;
-    Opts.Lookahead = 1;
-    Opts.SearchCost = &CM;
-    Opts.Batch = C.Batch;
-    rewrite::RewriteStats Stats =
-        rewrite::rewriteToFixpoint(*G, RS, graph::ShapeInference(), Opts);
-    EXPECT_EQ(Stats.Status.Code, EngineStatusCode::LintRejected);
-    EXPECT_EQ(Stats.TotalFired, 0u);
-    EXPECT_EQ(Stats.SearchSteps, 0u);
-    EXPECT_EQ(Stats.SearchExpansions, 0u);
-    EXPECT_EQ(graph::writeGraphText(*G), Before)
-        << "refused run must leave the graph byte-identical";
-  }
-}
-
 TEST(AnalysisPreflight, WarningsDoNotRefuseTheRun) {
   term::Signature Sig;
   std::unique_ptr<pattern::Library> Lib = dsl::compileOrDie(R"(
@@ -789,32 +736,6 @@ TEST(AnalysisConfluence, FindingsRankConflictsFirst) {
                                                           : 2;
     EXPECT_GE(Rank, LastRank) << F.Code;
     LastRank = Rank;
-  }
-}
-
-TEST(AnalysisConfluence, CertificateRoundTripsThroughTheCodec) {
-  for (const char *Source : {TowerSource, TransposeConflictSource}) {
-    SCOPED_TRACE(Source);
-    ConfluenceReport R = analyzeSource(Source);
-    std::string Bytes = analysis::critical::serializeConfluence(R);
-    std::string Err;
-    std::unique_ptr<ConfluenceReport> R2 =
-        analysis::critical::deserializeConfluence(Bytes, &Err);
-    ASSERT_NE(R2, nullptr) << Err;
-    EXPECT_EQ(R2->Overall, R.Overall);
-    EXPECT_EQ(R2->PairsExamined, R.PairsExamined);
-    EXPECT_EQ(R2->PairsJoinable, R.PairsJoinable);
-    EXPECT_EQ(R2->PairsConflicting, R.PairsConflicting);
-    EXPECT_EQ(R2->PairsUnknown, R.PairsUnknown);
-    EXPECT_EQ(R2->CertifiedRules, R.CertifiedRules);
-    EXPECT_EQ(R2->UnresolvedPairs, R.UnresolvedPairs);
-    ASSERT_EQ(R2->Findings.size(), R.Findings.size());
-    for (size_t I = 0; I != R.Findings.size(); ++I) {
-      EXPECT_EQ(R2->Findings[I].Sev, R.Findings[I].Sev);
-      EXPECT_EQ(R2->Findings[I].Code, R.Findings[I].Code);
-      EXPECT_EQ(R2->Findings[I].Message, R.Findings[I].Message);
-      EXPECT_EQ(R2->Findings[I].RuleName, R.Findings[I].RuleName);
-    }
   }
 }
 

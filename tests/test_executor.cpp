@@ -18,8 +18,8 @@
 ///  - AotLowering / PlanExecutorTest: the decoded stream, the μ-unfold
 ///    memo, the budget poll, and a Program copied by value;
 ///  - AotEngine / AotGovernanceStressTest: the engine on a shared
-///    precompiled plan at every thread count, with and without batched
-///    discovery, and under budgets, quarantine, and injected faults.
+///    precompiled plan at every thread count, and under budgets,
+///    quarantine, and injected faults.
 ///
 /// The suites keep the names of the matchers they were ported from (the
 /// trail-based FastMatcher and the threaded AOT tier, both now this
@@ -387,6 +387,48 @@ TEST_F(AotThreadedTest, PipelineProgramAgreesOnEveryEntryAndNode) {
   }
 }
 
+TEST(AotThreadedPipeline, ReusedMatchersAgreeWithFreshRunsPerAttempt) {
+  // The pipeline plus the μ-recursive UnaryChain library, behind the tree
+  // prefilter as the engine runs it: per attempt, the reused executor must
+  // agree with the reference machine on status, every counter, every
+  // visible binding, and the resume stream — the persistent scratch arena
+  // and first-unfold μ memo are stats-invisible even on deep unfolds.
+  term::Signature Sig;
+  models::declareModelOps(Sig);
+  opt::Pipeline Pipe = opt::makePipeline(Sig, opt::OptConfig::Both);
+  Pipe.Libs.push_back(opt::compileUnaryChain(Sig));
+  Pipe.Rules.addLibrary(*Pipe.Libs.back());
+  plan::Program Prog = plan::PlanBuilder::compile(Pipe.Rules, Sig);
+
+  models::TransformerConfig TC;
+  TC.Name = "t";
+  TC.Layers = 1;
+  TC.Hidden = 64;
+  auto G = models::buildTransformer(Sig, TC);
+  term::TermArena Arena(Sig);
+  graph::TermView View(*G, Arena);
+
+  plan::Executor Reused(Prog, Arena);
+  std::vector<uint8_t> Mask;
+  size_t Attempts = 0;
+  for (graph::NodeId N : G->topoOrder()) {
+    term::TermRef T = View.termFor(N);
+    Prog.candidates(T, Mask);
+    for (size_t I = 0; I != Prog.numEntries(); ++I) {
+      if (!Mask[I])
+        continue;
+      ++Attempts;
+      SCOPED_TRACE("node " + std::to_string(N) + " entry " +
+                   std::to_string(I));
+      expectExecutorMatchesMachine(Prog, I, Pipe.Rules.entries()[I].Pattern->Pat,
+                                   T, Arena, {}, &Reused, /*MaxSolutions=*/4);
+    }
+  }
+  // The prefilter must have let real attempts through, else this test
+  // compared nothing.
+  EXPECT_GT(Attempts, 0u);
+}
+
 namespace {
 
 class AotThreadedRandomTest : public ::testing::TestWithParam<uint64_t> {};
@@ -614,7 +656,7 @@ TEST(AotEngine, MuChainPipelineMatchesPlan) {
 
 TEST(AotEngine, AttemptCounterCaveatAcrossMatcherKinds) {
   // Regression pin for the DESIGN.md caveat: attempt-shaped counters are
-  // comparable within a matcher kind (any thread count, batched or not)
+  // comparable within a matcher kind (at any thread count)
   // but NOT across kinds — the discrimination tree prefilters attempts the
   // reference machine's root-op index would have started. What IS invariant
   // across kinds is the committed sequence and, per pattern, the sum
@@ -640,20 +682,6 @@ TEST(AotEngine, AttemptCounterCaveatAcrossMatcherKinds) {
   }
   // The caveat is real on this model: the tree prunes strictly more.
   EXPECT_LT(PlanAttempts, RefAttempts);
-}
-
-TEST(AotEngine, BatchedModeAgrees) {
-  auto Suite = models::hfSuite();
-  ASSERT_GE(Suite.size(), 3u);
-  for (size_t I = 0; I != 3; ++I) {
-    RunResult Base = runModel(Suite[I], planOpts(0));
-    for (unsigned Threads : {0u, 4u}) {
-      rewrite::RewriteOptions Batched = planOpts(Threads);
-      Batched.Batch = true;
-      expectFullyEqual(Base, runModel(Suite[I], Batched),
-                       Suite[I].Name + " batch@" + std::to_string(Threads));
-    }
-  }
 }
 
 TEST(AotEngine, PrecompiledPlanDrivesThreadedRuns) {
@@ -683,24 +711,17 @@ namespace {
 
 class AotGovernanceStressTest : public ::testing::TestWithParam<unsigned> {};
 
-/// Plan options at \p Threads with the batched frontier sweep on.
-rewrite::RewriteOptions batchedPlanOpts(unsigned Threads) {
-  rewrite::RewriteOptions O = planOpts(Threads);
-  O.Batch = true;
-  return O;
-}
-
 } // namespace
 
 TEST_P(AotGovernanceStressTest, StressRewritesMatchInterpreterAcrossSeeds) {
   // The 50-seed stress zoo: the reference machine at the parallel engine's
-  // thread count commits what the serial machine does, and the batched
-  // plan commits the same sequence.
+  // thread count commits what the serial machine does, and the plan
+  // executor commits the same sequence.
   unsigned Threads = GetParam();
   for (uint64_t Seed = 0; Seed != 50; ++Seed) {
     SCOPED_TRACE("seed=" + std::to_string(Seed));
     rewrite::RewriteOptions M0 = machineOpts(0), MN = machineOpts(Threads),
-                            PN = batchedPlanOpts(Threads);
+                            PN = planOpts(Threads);
     M0.MaxRewrites = MN.MaxRewrites = PN.MaxRewrites = 300;
     StressOutcome Machine0 = runStressCase(Seed, M0);
     StressOutcome MachineN = runStressCase(Seed, MN);
@@ -722,17 +743,13 @@ TEST_P(AotGovernanceStressTest, BudgetExhaustionMatchesInterpreter) {
     SCOPED_TRACE("seed=" + std::to_string(Seed));
     BudgetLimits L;
     L.MaxTotalSteps = 2;
-    Budget BP(L), B0(L), BN(L);
-    rewrite::RewriteOptions OP = planOpts(0);
-    OP.EngineBudget = &BP;
-    rewrite::RewriteOptions O0 = batchedPlanOpts(0);
+    Budget B0(L), BN(L);
+    rewrite::RewriteOptions O0 = planOpts(0);
     O0.EngineBudget = &B0;
-    rewrite::RewriteOptions ON = batchedPlanOpts(Threads);
+    rewrite::RewriteOptions ON = planOpts(Threads);
     ON.EngineBudget = &BN;
-    StressOutcome SP = runStressCase(Seed, OP);
     StressOutcome S0 = runStressCase(Seed, O0);
     StressOutcome SN = runStressCase(Seed, ON);
-    expectOutcomesEqual(SP, S0, stressRepro(Seed, "budget plan vs batched"));
     expectOutcomesEqual(S0, SN, stressRepro(Seed, 0, Threads, "budget"));
     SawExhaustion |=
         S0.Stats.Status.Code == EngineStatusCode::BudgetExhausted;
@@ -745,17 +762,13 @@ TEST_P(AotGovernanceStressTest, QuarantineMatchesInterpreter) {
   bool SawQuarantine = false;
   for (uint64_t Seed = 0; Seed != 10; ++Seed) {
     SCOPED_TRACE("seed=" + std::to_string(Seed));
-    rewrite::RewriteOptions OP = planOpts(0), O0 = batchedPlanOpts(0),
-                            ON = batchedPlanOpts(Threads);
-    for (rewrite::RewriteOptions *O : {&OP, &O0, &ON}) {
+    rewrite::RewriteOptions O0 = planOpts(0), ON = planOpts(Threads);
+    for (rewrite::RewriteOptions *O : {&O0, &ON}) {
       O->MachineOpts.MaxSteps = 3;
       O->QuarantineThreshold = 2;
     }
-    StressOutcome SP = runStressCase(Seed, OP);
     StressOutcome S0 = runStressCase(Seed, O0);
     StressOutcome SN = runStressCase(Seed, ON);
-    expectOutcomesEqual(SP, S0,
-                        stressRepro(Seed, "quarantine plan vs batched"));
     expectOutcomesEqual(S0, SN, stressRepro(Seed, 0, Threads, "quarantine"));
     SawQuarantine |= S0.Stats.Status.quarantined();
   }
@@ -770,19 +783,15 @@ TEST_P(AotGovernanceStressTest, InjectedFaultsLandIdentically) {
     FaultInjector::Config C;
     C.SiteSeed = Seed * 1000 + 7;
     // Dense schedule: the plan prefilter skips most attempts and sites are
-    // consulted per *attempted* entry (see test_batch's fault sweep).
+    // consulted per *attempted* entry, so a sparse schedule can miss.
     C.SitePeriod = 5;
-    FaultInjector FP(C), F0(C), FN(C);
-    rewrite::RewriteOptions OP = planOpts(0), O0 = batchedPlanOpts(0),
-                            ON = batchedPlanOpts(Threads);
-    OP.Faults = &FP;
+    FaultInjector F0(C), FN(C);
+    rewrite::RewriteOptions O0 = planOpts(0), ON = planOpts(Threads);
     O0.Faults = &F0;
     ON.Faults = &FN;
-    OP.MaxRewrites = O0.MaxRewrites = ON.MaxRewrites = 300;
-    StressOutcome SP = runStressCase(Seed, OP);
+    O0.MaxRewrites = ON.MaxRewrites = 300;
     StressOutcome S0 = runStressCase(Seed, O0);
     StressOutcome SN = runStressCase(Seed, ON);
-    expectOutcomesEqual(SP, S0, stressRepro(Seed, "faults plan vs batched"));
     expectOutcomesEqual(S0, SN, stressRepro(Seed, 0, Threads, "faults"));
     SawFault |= S0.Stats.Status.FaultsAbsorbed != 0;
   }

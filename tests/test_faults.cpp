@@ -319,7 +319,7 @@ TEST(SiteFaultStress, ScheduleActuallyInjects) {
   // a 1/23 site schedule must absorb faults in plenty of runs. Sites are
   // consulted per attempted entry, so this runs the reference machine,
   // whose root-operator prefilter attempts far more entries than the
-  // plan's tree (test_batch's plan-matcher sweep uses a denser
+  // plan's tree (test_executor's plan-matcher fault sweep uses a denser
   // schedule for that reason).
   size_t RunsWithFaults = 0;
   for (uint64_t Seed = 0; Seed != 50; ++Seed) {

@@ -340,8 +340,8 @@ TEST(CrossMatcherRewrite, RandomDagsAgree) {
 
 TEST(CrossMatcherRewrite, ZooAgreesOnEveryBenchmarkRuleSet) {
   // The benchmark's four rule sets over the whole zoo: both matchers at
-  // every thread count, and the plan with batched discovery on (at threads
-  // 0 and 4), rewrite exactly what the no-pool reference machine does.
+  // every thread count rewrite exactly what the no-pool reference machine
+  // does.
   std::vector<models::ModelEntry> Models = zoo();
   const std::vector<std::string> &Texts = zooTexts();
   for (const char *Name : RuleSetNames) {
@@ -368,13 +368,6 @@ TEST(CrossMatcherRewrite, ZooAgreesOnEveryBenchmarkRuleSet) {
               Ref, Run(Texts[I], opts(MK, T)),
               Label + " matcher=" + std::to_string(int(MK)) +
                   " threads=" + std::to_string(T));
-      for (unsigned T : {0u, 4u}) {
-        rewrite::RewriteOptions O = opts(MatcherKind::Plan, T);
-        O.Batch = true;
-        pypm::testing::expectSameGraph(Ref, Run(Texts[I], O),
-                                       Label + " plan batch threads=" +
-                                           std::to_string(T));
-      }
     }
   }
 }

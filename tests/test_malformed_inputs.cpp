@@ -9,7 +9,6 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "analysis/CriticalPairs.h"
 #include "dsl/Sema.h"
 #include "graph/GraphIO.h"
 #include "graph/ShapeInference.h"
@@ -375,15 +374,16 @@ TEST(MalformedPlanBinary, BadVersionRejected) {
 }
 
 TEST(MalformedPlanBinary, PreviousVersionRejected) {
-  // v3 artifacts carried a profile section; v4 dropped it. A v3 artifact
-  // gets the clean version error, not a misparse of its sections.
+  // v4 artifacts ended with a confluence-certificate section; v5 dropped
+  // it. A v4 artifact gets the clean version error, not a misparse of its
+  // sections.
   std::string B = validPlan();
-  ASSERT_EQ(B[4], 4);
-  B[4] = 3;
+  ASSERT_EQ(B[4], 5);
+  B[4] = 4;
   PlanParse P(B);
   EXPECT_EQ(P.Plan, nullptr);
   EXPECT_NE(firstError(P.Diags).Message.find("unsupported match plan "
-                                             "version 3"),
+                                             "version 4"),
             std::string::npos)
       << firstError(P.Diags).Message;
 }
@@ -427,7 +427,7 @@ TEST(MalformedPlanBinary, ImplausibleEntryCountRejected) {
   // far more entries than the buffer could hold.
   std::string Lib = validBinary();
   std::string B = "PYPL";
-  appendU32(B, 4); // plan version
+  appendU32(B, 5); // plan version
   appendU32(B, static_cast<uint32_t>(Lib.size()));
   B += Lib;
   appendU32(B, 0xFFFFFFFFu);
@@ -440,188 +440,13 @@ TEST(MalformedPlanBinary, ImplausibleEntryCountRejected) {
 TEST(MalformedPlanBinary, TruncatedEmbeddedLibraryRejected) {
   std::string Lib = validBinary();
   std::string B = "PYPL";
-  appendU32(B, 4); // plan version
+  appendU32(B, 5); // plan version
   appendU32(B, static_cast<uint32_t>(Lib.size() + 64)); // longer than payload
   B += Lib;
   PlanParse P(B);
   EXPECT_EQ(P.Plan, nullptr);
   EXPECT_NE(firstError(P.Diags).Message.find("truncated embedded"),
             std::string::npos);
-}
-
-//===----------------------------------------------------------------------===//
-// Confluence certificates (standalone codec + the .pypmplan section)
-//===----------------------------------------------------------------------===//
-
-/// A certificate with every section populated: a conflicting pair (so
-/// Findings and UnresolvedPairs are non-empty) next to a certified rule.
-analysis::critical::ConfluenceReport sampleReport() {
-  term::Signature Sig;
-  auto Lib = dsl::compileOrDie(
-      "op MatMul(2);\n"
-      "op Trans(1);\n"
-      "pattern TT(x) { return Trans(Trans(x)); }\n"
-      "rule tt for TT(x) { return x; }\n"
-      "pattern MMTT(x, y) { return MatMul(Trans(x), Trans(y)); }\n"
-      "rule hoist for MMTT(x, y) { return Trans(MatMul(y, x)); }\n",
-      Sig);
-  return analysis::critical::analyzeConfluence(*Lib, Sig);
-}
-
-std::string validCert() {
-  return analysis::critical::serializeConfluence(sampleReport());
-}
-
-TEST(MalformedConfluence, ValidCertificateRoundTrips) {
-  analysis::critical::ConfluenceReport R = sampleReport();
-  std::string Err;
-  auto R2 = analysis::critical::deserializeConfluence(
-      analysis::critical::serializeConfluence(R), &Err);
-  ASSERT_NE(R2, nullptr) << Err;
-  EXPECT_EQ(R2->Overall, R.Overall);
-  EXPECT_EQ(R2->Findings.size(), R.Findings.size());
-  EXPECT_EQ(R2->CertifiedRules, R.CertifiedRules);
-}
-
-TEST(MalformedConfluence, BadMagicRejected) {
-  std::string B = validCert();
-  B[0] = 'X';
-  std::string Err;
-  EXPECT_EQ(analysis::critical::deserializeConfluence(B, &Err), nullptr);
-  EXPECT_NE(Err.find("magic"), std::string::npos);
-}
-
-TEST(MalformedConfluence, TrailingBytesRejected) {
-  std::string B = validCert() + "x";
-  std::string Err;
-  EXPECT_EQ(analysis::critical::deserializeConfluence(B, &Err), nullptr);
-  EXPECT_NE(Err.find("trailing"), std::string::npos);
-}
-
-TEST(MalformedConfluence, EveryPrefixTruncationFailsCleanly) {
-  const std::string Valid = validCert();
-  for (size_t Len = 0; Len != Valid.size(); ++Len) {
-    SCOPED_TRACE(Len);
-    std::string Err;
-    EXPECT_EQ(analysis::critical::deserializeConfluence(
-                  std::string_view(Valid).substr(0, Len), &Err),
-              nullptr);
-    EXPECT_FALSE(Err.empty());
-  }
-}
-
-TEST(MalformedConfluence, SingleByteCorruptionNeverCrashes) {
-  const std::string Valid = validCert();
-  for (size_t I = 0; I != Valid.size(); ++I) {
-    SCOPED_TRACE(I);
-    std::string B = Valid;
-    B[I] = static_cast<char>(~B[I]);
-    std::string Err;
-    auto R = analysis::critical::deserializeConfluence(B, &Err);
-    // Either a clean rejection or a still-plausible certificate whose
-    // enum fields survived the range gates; never a crash.
-    if (!R) {
-      EXPECT_FALSE(Err.empty());
-    } else {
-      EXPECT_LE(static_cast<unsigned>(R->Overall), 2u);
-      for (const analysis::Finding &F : R->Findings)
-        EXPECT_LE(static_cast<unsigned>(F.Sev), 2u);
-    }
-  }
-}
-
-TEST(MalformedConfluence, ImplausibleCountsRejected) {
-  // Honest header (magic + version + verdict), then a rule count far
-  // beyond what the buffer could hold.
-  std::string B = "PMCF";
-  appendU32(B, 1); // codec version
-  B.push_back(0);  // verdict: certified
-  appendU32(B, 1); // pairs examined
-  appendU32(B, 1); // joinable
-  appendU32(B, 0); // conflicting
-  appendU32(B, 0); // unknown
-  for (int I = 0; I != 8; ++I)
-    B.push_back(0); // u64 micros
-  appendU32(B, 0xFFFFFFFFu); // certified-rule count
-  std::string Err;
-  EXPECT_EQ(analysis::critical::deserializeConfluence(B, &Err), nullptr);
-  EXPECT_NE(Err.find("implausible"), std::string::npos) << Err;
-}
-
-/// A .pypmplan with an embedded confluence certificate, produced by the
-/// real writer — the confluence section under attack below.
-std::string validPlanWithConfluence() {
-  term::Signature Sig;
-  auto Lib = dsl::compileOrDie("op Relu(1);\n"
-                               "pattern RR(x) { return Relu(Relu(x)); }\n"
-                               "rule rr for RR(x) { return Relu(x); }\n",
-                               Sig);
-  analysis::critical::ConfluenceReport CR =
-      analysis::critical::analyzeConfluence(*Lib, Sig);
-  DiagnosticEngine Diags;
-  std::string Bytes =
-      plan::serializePlan(*Lib, Sig, /*RulesOnly=*/true, Diags, &CR);
-  EXPECT_FALSE(Diags.hasErrors()) << Diags.renderAll();
-  return Bytes;
-}
-
-TEST(MalformedPlanConfluence, EmbeddedCertificateSurvivesTheRoundTrip) {
-  PlanParse P(validPlanWithConfluence());
-  ASSERT_NE(P.Plan, nullptr) << P.Diags.renderAll();
-  ASSERT_NE(P.Plan->Confluence, nullptr);
-  EXPECT_EQ(P.Plan->Confluence->Overall,
-            analysis::critical::Verdict::Certified);
-  EXPECT_TRUE(P.Plan->Confluence->CertifiedRules.count("rr"));
-}
-
-TEST(MalformedPlanConfluence, AbsentSectionLoadsAsNull) {
-  PlanParse P(validPlan());
-  ASSERT_NE(P.Plan, nullptr);
-  EXPECT_EQ(P.Plan->Confluence, nullptr);
-}
-
-TEST(MalformedPlanConfluence, BadPresenceFlagRejected) {
-  // The confluence section is the artifact's last; a cert-free plan ends
-  // with its presence flag, which must be exactly 0 or 1.
-  std::string B = validPlan();
-  ASSERT_EQ(B.back(), '\0');
-  B.back() = 2;
-  PlanParse P(B);
-  EXPECT_EQ(P.Plan, nullptr);
-  EXPECT_NE(firstError(P.Diags).Message.find("confluence"),
-            std::string::npos);
-}
-
-TEST(MalformedPlanConfluence, PresenceWithoutPayloadRejected) {
-  std::string B = validPlan();
-  ASSERT_EQ(B.back(), '\0');
-  B.back() = 1; // claims a certificate follows, but the buffer ends here
-  PlanParse P(B);
-  EXPECT_EQ(P.Plan, nullptr);
-  EXPECT_TRUE(P.Diags.hasErrors());
-}
-
-TEST(MalformedPlanConfluence, EveryPrefixTruncationFailsCleanly) {
-  const std::string Valid = validPlanWithConfluence();
-  for (size_t Len = 0; Len != Valid.size(); ++Len) {
-    SCOPED_TRACE(Len);
-    PlanParse P(std::string_view(Valid).substr(0, Len));
-    EXPECT_EQ(P.Plan, nullptr);
-    EXPECT_TRUE(P.Diags.hasErrors());
-  }
-}
-
-TEST(MalformedPlanConfluence, SingleByteCorruptionNeverCrashes) {
-  const std::string Valid = validPlanWithConfluence();
-  for (size_t I = 0; I != Valid.size(); ++I) {
-    SCOPED_TRACE(I);
-    std::string B = Valid;
-    B[I] = static_cast<char>(~B[I]);
-    PlanParse P(B);
-    if (!P.Plan) {
-      EXPECT_TRUE(P.Diags.hasErrors());
-    }
-  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -259,7 +259,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MatchPlanRandomTest,
 // Engine-level equivalence
 //===----------------------------------------------------------------------===//
 
-// Zoo-differential scaffolding shared with test_batch.cpp.
+// Zoo-differential scaffolding (tests/TestHelpers.h).
 using pypm::testing::expectFullyEqual;
 using pypm::testing::expectSameRewrites;
 using pypm::testing::machineOpts;

@@ -144,25 +144,12 @@ TEST(ServerProtocol, RewriteRequestRoundTrips) {
   R.MaxRewrites = 3;
   R.Threads = 2;
   R.Matcher = 3;
-  R.Batch = true;
   R.FaultSiteSeed = 5;
   R.FaultSitePeriod = 11;
-  R.Search = 2;
-  R.BeamWidth = 6;
-  R.Lookahead = 3;
-  R.SearchWitnesses = 2;
   RewriteRequest Out;
   std::string Err;
   ASSERT_TRUE(decodeRewriteRequest(encodeRewriteRequest(R), Out, Err)) << Err;
   EXPECT_EQ(R, Out);
-}
-
-TEST(ServerProtocol, RewriteRequestRejectsUnknownSearchStrategy) {
-  RewriteRequest R = basicRequest(8);
-  R.Search = 4; // only 0 (greedy), 1 (best-of-n), 2 (beam), 3 (auto) exist
-  RewriteRequest Out;
-  std::string Err;
-  EXPECT_FALSE(decodeRewriteRequest(encodeRewriteRequest(R), Out, Err));
 }
 
 TEST(ServerProtocol, RewriteRequestRejectsRetiredMatcherValues) {
@@ -200,43 +187,38 @@ TEST(ServerProtocol, RewriteRequestRejectsRetiredMatcherValues) {
   Srv.stop();
 }
 
-/// Byte offset of the Flags byte in an encoded rewrite request body: tag,
-/// seq, named flag, the two length-prefixed strings, four u64 limits, the
-/// u32 thread count, and the matcher byte precede it.
-static size_t flagsOffset(const RewriteRequest &R) {
-  return 1 + 8 + 1 + (4 + R.RuleSet.size()) + (4 + R.GraphText.size()) +
-         4 * 8 + 4 + 1;
+/// A request body in the retired layout: a Flags byte after the matcher
+/// byte (bit 0 named the incremental memo, bit 1 batched discovery), and
+/// the search strategy byte plus three u32 search knobs after
+/// FaultSitePeriod.
+static std::string retiredLayoutBody(const RewriteRequest &R, uint8_t Flags) {
+  std::string Body = encodeRewriteRequest(R);
+  // Tag, seq, named flag, the two length-prefixed strings, four u64
+  // limits, the u32 thread count, and the matcher byte precede Flags.
+  const size_t FlagsAt = 1 + 8 + 1 + (4 + R.RuleSet.size()) +
+                         (4 + R.GraphText.size()) + 4 * 8 + 4 + 1;
+  Body.insert(FlagsAt, 1, static_cast<char>(Flags));
+  Body.append(1 + 3 * 4, '\0');
+  return Body;
 }
 
-TEST(ServerProtocol, RewriteRequestRejectsRetiredIncrementalFlag) {
-  // Flags bit 0 named the retired incremental memo; bit 1 (batch) is the
-  // only defined bit. A body that sets bit 0, alone or with batch, or any
-  // higher bit, is malformed.
+TEST(ServerProtocol, RewriteRequestRejectsRetiredLayout) {
+  // The body ends at FaultSitePeriod. The retired layout — with any Flags
+  // value, the batch bit (2) included — is malformed, never a request that
+  // silently drops what the client asked for.
   RewriteRequest R = basicRequest(11);
-  const std::string Good = encodeRewriteRequest(R);
-  const size_t At = flagsOffset(R);
-  ASSERT_EQ(Good[At], 0);
-  for (uint8_t Flags : {2, 1, 3, 4, 0x80}) {
-    std::string Body = Good;
-    Body[At] = static_cast<char>(Flags);
+  for (uint8_t Flags : {0, 1, 2, 3}) {
     RewriteRequest Out;
     std::string Err;
-    bool Ok = decodeRewriteRequest(Body, Out, Err);
-    if (Flags == 2) {
-      EXPECT_TRUE(Ok) << Err;
-      EXPECT_TRUE(Out.Batch);
-      continue;
-    }
-    EXPECT_FALSE(Ok) << "flags " << int(Flags);
-    EXPECT_NE(Err.find("out of range"), std::string::npos) << Err;
+    EXPECT_FALSE(decodeRewriteRequest(retiredLayoutBody(R, Flags), Out, Err))
+        << "flags " << int(Flags);
+    EXPECT_NE(Err.find("trailing bytes"), std::string::npos) << Err;
   }
   // Over the framed pipeline the rejection is a MalformedRequest reply.
-  std::string Body = Good;
-  Body[At] = 1;
   Server Srv(ServerOptions{});
   std::vector<std::string> Replies;
-  EXPECT_TRUE(scriptConnection(Srv, frameBytes(/*Request=*/true, Body),
-                               Replies));
+  EXPECT_TRUE(scriptConnection(
+      Srv, frameBytes(/*Request=*/true, retiredLayoutBody(R, 2)), Replies));
   ASSERT_EQ(Replies.size(), 1u);
   EXPECT_EQ(decodeReplyOrDie(Replies[0]).Status,
             ServerStatus::MalformedRequest);
@@ -418,26 +400,6 @@ TEST(ServerServe, MalformedRuleSetAndGraphStatuses) {
   EXPECT_EQ(Got[0], ServerStatus::RuleSetMalformed);
   EXPECT_EQ(Got[1], ServerStatus::GraphMalformed);
   EXPECT_EQ(Got[2], ServerStatus::RuleSetUnreadable);
-  Srv.stop();
-}
-
-TEST(ServerServe, SearchRequestRunsAndReachesGreedyFixpoint) {
-  Server Srv(ServerOptions{});
-  RewriteReply Greedy = Srv.handle(basicRequest(1));
-  ASSERT_EQ(Greedy.Status, ServerStatus::Ok);
-  ASSERT_GE(Greedy.Fired, 1u);
-  RewriteRequest R = basicRequest(2);
-  R.Search = 2; // beam
-  R.BeamWidth = 2;
-  R.Lookahead = 1;
-  RewriteReply Beam = Srv.handle(R);
-  EXPECT_EQ(Beam.Status, ServerStatus::Ok);
-  EXPECT_EQ(static_cast<EngineStatusCode>(Beam.EngineCode),
-            EngineStatusCode::Completed);
-  // kRules is confluent and conflict-free, so cost-directed commit order
-  // lands on the same fixpoint with the same number of fires.
-  EXPECT_EQ(Beam.GraphText, Greedy.GraphText);
-  EXPECT_EQ(Beam.Fired, Greedy.Fired);
   Srv.stop();
 }
 
@@ -671,9 +633,10 @@ TEST(ServerCache, TruncatedDiskEntryIsMissAndRepaired) {
   }
 }
 
-/// An entry written in the previous .pypmplan format (v3, which carried a
-/// profile section) gets the loader's clean version error: the disk tier
-/// treats it as a miss, recompiles, and rewrites the entry as v4.
+/// An entry written in the previous .pypmplan format (v4, which carried a
+/// confluence-certificate section) gets the loader's clean version error:
+/// the disk tier treats it as a miss, recompiles, and rewrites the entry
+/// as v5.
 TEST(ServerCache, PreviousFormatEntryIsRebuilt) {
   TempDir Dir;
   PlanCache::Options CO;
@@ -696,19 +659,19 @@ TEST(ServerCache, PreviousFormatEntryIsRebuilt) {
     Artifact = Buf.str();
   }
   ASSERT_GT(Artifact.size(), 8u);
-  ASSERT_EQ(Artifact[4], 4) << "version u32 lives at offset 4";
-  // A v3 header: the loader stops at the version word, before any section.
-  std::string V3 = Artifact;
-  V3[4] = 3;
+  ASSERT_EQ(Artifact[4], 5) << "version u32 lives at offset 4";
+  // A v4 header: the loader stops at the version word, before any section.
+  std::string V4 = Artifact;
+  V4[4] = 4;
   {
     std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
-    Out.write(V3.data(), static_cast<std::streamsize>(V3.size()));
+    Out.write(V4.data(), static_cast<std::streamsize>(V4.size()));
   }
   Cache.flushMemory();
   uint64_t CorruptBefore = Cache.stats().CorruptDiskEntries;
   auto R = Cache.acquire(kRules, Diags, Src);
   ASSERT_TRUE(R) << Diags.renderAll();
-  EXPECT_EQ(Src, CacheSource::Compiled) << "v3 entry served";
+  EXPECT_EQ(Src, CacheSource::Compiled) << "v4 entry served";
   EXPECT_EQ(Cache.stats().CorruptDiskEntries, CorruptBefore + 1);
   Cache.flushMemory();
   auto R2 = Cache.acquire(kRules, Diags, Src);
@@ -924,7 +887,6 @@ RewriteRequest stressRequest(uint64_t Seed) {
   const uint8_t Matchers[] = {0, 1, 3, 3}; // default/machine/plan/plan
   R.Matcher = Matchers[Seed % 4];
   R.Threads = static_cast<uint32_t>(Seed % 3);
-  R.Batch = (Seed % 7) == 0;
   // Seeds drawing the ping-pong template pair only terminate via the
   // rewrite limit (StressHarness.h); cap every request identically so the
   // sweep is bounded and the cap itself is part of the compared outcome.
@@ -960,7 +922,6 @@ SingleShot singleShot(const RewriteRequest &R) {
   O.NumThreads = R.Threads;
   O.Matcher = R.Matcher == 1 ? rewrite::MatcherKind::Machine
                              : rewrite::MatcherKind::Plan;
-  O.Batch = R.Batch;
   if (R.MaxRewrites)
     O.MaxRewrites = R.MaxRewrites;
   O.Diags = &D;

@@ -12,8 +12,8 @@
 # (everything but the 50-seed × thread-count sweeps) and "stress" (suites
 # named *Stress*). The quick default runs tier1 in every build flavor;
 # nightly mode (--nightly, or PYPM_CI_NIGHTLY=1) runs the full suite —
-# both tiers — everywhere, which is where the batched and thread-count
-# differential sweeps earn their keep.
+# both tiers — everywhere, which is where the thread-count differential
+# sweeps earn their keep.
 #
 # Usage: tools/ci.sh [--nightly] [jobs]
 set -euo pipefail
@@ -66,18 +66,6 @@ ctest --test-dir build-ci-asan "${CTEST_ARGS[@]}"
 echo "=== plan-matcher suites under ASan/UBSan ==="
 ./build-ci-asan/tests/pypm_tests \
   --gtest_filter='*MatchPlan*:MalformedPlanBinary.*'
-
-# Batched discovery: the pass-start candidate masks are per-pass mutable
-# state shared read-only with the discovery workers and invalidated by
-# commit, so the Batch* suites run under both sanitizers — TSan for the
-# frozen-mask handoff across workers, ASan/UBSan for the row bookkeeping.
-# Tier-1 members ran in ctest above; the quick default re-runs them
-# filtered so the batched legs stay greppable.
-echo "=== batched suites under ASan/UBSan ==="
-./build-ci-asan/tests/pypm_tests --gtest_filter='Batch*'
-
-echo "=== batched suites under TSan ==="
-./build-ci-tsan/tests/pypm_tests --gtest_filter='Batch*'
 
 # Fire-local commit: the engine's term view persists across fires (per-node
 # memo, per-term and per-operator chains, an open-addressed head table)
@@ -207,44 +195,21 @@ for RS in algebra transpose epilog_fusion; do
   cmp "$SMOKE/$RS.plan.pypmg" "$SMOKE/$RS.dynamic.pypmg"
 done
 
-# Smoke-sized batched benchmark: exercises the sweep driver end to end and
-# re-checks batched ≡ per-root match counts (the committed
-# BENCH_batch_sweep.json is produced by a full-size run).
-echo "=== batch-sweep benchmark (smoke) ==="
-./build-ci/bench/bench_partitioning --batch-sweep --smoke >/dev/null
-
 # Daemon warm-vs-cold sweep (smoke): the plan-cache tiers must actually
 # pay off, and the sweep driver itself is exercised end to end (the
 # committed BENCH_daemon_sweep.json comes from a full-size run).
 echo "=== daemon-sweep benchmark (smoke) ==="
 ./build-ci/bench/bench_partitioning --daemon-sweep --smoke >/dev/null
 
-# Cost-directed search. The oracle/differential/fall-through suites run
-# under ASan/UBSan — applyCandidate's transactional rollback and the
-# clone-per-candidate expansion are allocation-heavy unwind paths — and
-# the beam commit loop under TSan: speculative expansion fans clones out
-# across the worker pool while the committed path stays serial, which is
-# exactly the isolation boundary a race would cross. (Tier-1 members ran
-# in ctest above; the filtered re-runs keep the search legs greppable.)
-echo "=== cost-directed search suites under ASan/UBSan ==="
-./build-ci-asan/tests/pypm_tests \
-  --gtest_filter='Search*:CostModel.*'
+# The critical-pair move generator (analysis/Moves.h) under ASan/UBSan:
+# every move re-derives its witness in a private arena and a failed RHS
+# build is rolled back by a sweep — allocation-heavy unwind paths where a
+# lifetime bug would hide.
+echo "=== critical-pair move generator under ASan/UBSan ==="
+./build-ci-asan/tests/pypm_tests --gtest_filter='Moves*'
 
-echo "=== cost-directed search suites under TSan ==="
-./build-ci-tsan/tests/pypm_tests \
-  --gtest_filter='SearchConflictTest.*:SearchStress*'
-
-# Search sweep (smoke): the beam must strictly beat greedy modeled cost
-# on the conflict ladder and match it on the confluent zoo — the sweep
-# driver exits nonzero if either claim fails (the committed
-# BENCH_search_sweep.json comes from a full-size run).
-echo "=== search-sweep benchmark (smoke) ==="
-./build-ci/bench/bench_partitioning --search-sweep --smoke >/dev/null
-
-# Critical-pair sweep (smoke): the driver asserts its claims as it
-# measures — the conflict set must refute, the epilog library must
-# certify, auto must spend zero search work on the certified set and
-# land on beam's end state on the conflicting one (the committed
+# Critical-pair sweep (smoke): the driver asserts its claim as it
+# measures — the conflict set must refute (the committed
 # BENCH_critical_sweep.json comes from a full-size run).
 echo "=== critical-sweep benchmark (smoke) ==="
 ./build-ci/bench/bench_partitioning --critical-sweep --smoke >/dev/null

@@ -43,6 +43,7 @@
 #include "term/TermParser.h"
 
 #include "support/Budget.h"
+#include "support/ParseNumber.h"
 #include "support/ThreadPool.h"
 
 #include <csignal>
@@ -74,10 +75,7 @@ int usage() {
                "[--stats-json]\n"
                "                     [--matcher=machine|plan] "
                "[--emit-plan] [--lint]\n"
-               "                     [--batch] [--plan-cache-dir=<dir>]\n"
-               "                     [--search=greedy|best-of-n|beam|auto] "
-               "[--beam-width=N] [--lookahead=N]\n"
-               "                     [--search-witnesses=N]\n"
+               "                     [--plan-cache-dir=<dir>]\n"
                "       pypmc cost    <graph.pypmg>\n"
                "rewrite exit codes: 0 ok, 1 rule set malformed, 2 usage, "
                "3 budget exhausted,\n"
@@ -196,17 +194,11 @@ int cmdCompilePlan(int Argc, char **Argv) {
   if (!Lib)
     return RC;
 
-  // Every artifact carries its confluence certificate: a cached plan can
-  // answer `--search=auto` without re-running the analysis, and a lint of
-  // the artifact reports the verdict the producer saw.
-  analysis::critical::ConfluenceReport Confluence =
-      analysis::critical::analyzeConfluence(*Lib, Sig);
-
   DiagnosticEngine Diags;
   // RulesOnly mirrors `pypmc rewrite`'s RuleSet::addLibrary default:
   // match-only patterns are not part of the rewrite rule set.
   std::string Bytes =
-      plan::serializePlan(*Lib, Sig, /*RulesOnly=*/true, Diags, &Confluence);
+      plan::serializePlan(*Lib, Sig, /*RulesOnly=*/true, Diags);
   std::fprintf(stderr, "%s", Diags.renderAll().c_str());
   if (Bytes.empty())
     return 1;
@@ -231,15 +223,10 @@ int cmdCompilePlan(int Argc, char **Argv) {
   }
   plan::ProgramInfo Info = LP->Prog.info();
   std::printf("wrote %s: %zu bytes, %zu entr%s, %zu instruction(s), "
-              "%zu tree node(s), confluence: %s\n",
+              "%zu tree node(s)\n",
               Out, Bytes.size(), LP->Prog.Entries.size(),
               LP->Prog.Entries.size() == 1 ? "y" : "ies", Info.Instrs,
-              Info.TreeNodes,
-              LP->Confluence
-                  ? std::string(analysis::critical::verdictName(
-                                    LP->Confluence->Overall))
-                        .c_str()
-                  : "absent");
+              Info.TreeNodes);
   if (EmitPlan)
     std::printf("%s", LP->Prog.disassemble(CheckSig).c_str());
 
@@ -384,13 +371,9 @@ int cmdLint(int Argc, char **Argv) {
       std::fprintf(stderr, "%s", PlanDiags.renderAll().c_str());
       return 1;
     }
-    // Prefer the certificate embedded by the producer; re-analyze only
-    // when the artifact predates v3 or was stripped.
     analysis::critical::ConfluenceReport CR;
     if (Critical) {
-      CR = LP->Confluence
-               ? *LP->Confluence
-               : analysis::critical::analyzeConfluence(LP->Rules, Sig);
+      CR = analysis::critical::analyzeConfluence(LP->Rules, Sig);
       LOpts.Confluence = &CR;
     }
     analysis::LintReport LR = analysis::lintRuleSet(LP->Rules, Sig, LOpts);
@@ -578,10 +561,7 @@ int cmdRewrite(int Argc, char **Argv) {
   double BudgetMs = 0;
   uint64_t MaxSteps = 0;
   bool StatsJson = false, EmitPlan = false, Lint = false;
-  bool Batch = false;
   rewrite::MatcherKind Matcher = rewrite::MatcherKind::Plan;
-  rewrite::SearchStrategy Search = rewrite::SearchStrategy::Greedy;
-  unsigned BeamWidth = 4, Lookahead = 1, SearchWitnesses = 4;
   for (int I = 0; I != Argc; ++I) {
     if (std::strcmp(Argv[I], "-o") == 0 && I + 1 != Argc)
       Out = Argv[++I];
@@ -596,18 +576,28 @@ int cmdRewrite(int Argc, char **Argv) {
       }
       Threads = *N;
     }
-    else if (std::strcmp(Argv[I], "--budget-ms") == 0 && I + 1 != Argc)
-      BudgetMs = std::strtod(Argv[++I], nullptr);
-    else if (std::strcmp(Argv[I], "--max-steps") == 0 && I + 1 != Argc)
-      MaxSteps = std::strtoull(Argv[++I], nullptr, 10);
-    else if (std::strcmp(Argv[I], "--stats-json") == 0)
+    else if (std::strcmp(Argv[I], "--budget-ms") == 0 && I + 1 != Argc) {
+      std::optional<double> V = parseNonNegative(Argv[++I]);
+      if (!V) {
+        std::fprintf(stderr, "pypmc: --budget-ms wants a non-negative "
+                             "number\n");
+        return usage();
+      }
+      BudgetMs = *V;
+    } else if (std::strcmp(Argv[I], "--max-steps") == 0 && I + 1 != Argc) {
+      std::optional<uint64_t> V = parseCount(Argv[++I]);
+      if (!V) {
+        std::fprintf(stderr, "pypmc: --max-steps wants a non-negative "
+                             "integer\n");
+        return usage();
+      }
+      MaxSteps = *V;
+    } else if (std::strcmp(Argv[I], "--stats-json") == 0)
       StatsJson = true;
     else if (std::strcmp(Argv[I], "--emit-plan") == 0)
       EmitPlan = true;
     else if (std::strcmp(Argv[I], "--lint") == 0)
       Lint = true;
-    else if (std::strcmp(Argv[I], "--batch") == 0)
-      Batch = true;
     else if (std::strncmp(Argv[I], "--matcher=", 10) == 0) {
       const char *V = Argv[I] + 10;
       if (std::strcmp(V, "machine") == 0)
@@ -616,26 +606,7 @@ int cmdRewrite(int Argc, char **Argv) {
         Matcher = rewrite::MatcherKind::Plan;
       else
         return usage();
-    } else if (std::strncmp(Argv[I], "--search=", 9) == 0) {
-      const char *V = Argv[I] + 9;
-      if (std::strcmp(V, "greedy") == 0)
-        Search = rewrite::SearchStrategy::Greedy;
-      else if (std::strcmp(V, "best-of-n") == 0)
-        Search = rewrite::SearchStrategy::BestOfN;
-      else if (std::strcmp(V, "beam") == 0)
-        Search = rewrite::SearchStrategy::Beam;
-      else if (std::strcmp(V, "auto") == 0)
-        Search = rewrite::SearchStrategy::Auto;
-      else
-        return usage();
-    } else if (std::strncmp(Argv[I], "--beam-width=", 13) == 0)
-      BeamWidth = static_cast<unsigned>(std::strtoul(Argv[I] + 13, nullptr, 10));
-    else if (std::strncmp(Argv[I], "--lookahead=", 12) == 0)
-      Lookahead = static_cast<unsigned>(std::strtoul(Argv[I] + 12, nullptr, 10));
-    else if (std::strncmp(Argv[I], "--search-witnesses=", 19) == 0)
-      SearchWitnesses =
-          static_cast<unsigned>(std::strtoul(Argv[I] + 19, nullptr, 10));
-    else if (std::strncmp(Argv[I], "--", 2) == 0)
+    } else if (std::strncmp(Argv[I], "--", 2) == 0)
       return usage(); // unknown option
     else if (!Patterns)
       Patterns = Argv[I];
@@ -707,21 +678,6 @@ int cmdRewrite(int Argc, char **Argv) {
   Opts.NumThreads = Threads;
   Opts.Matcher = Matcher;
   Opts.Lint = Lint;
-  // A pure amortization mode: the rewritten graph and all committed stats
-  // are bit-identical with or without it.
-  Opts.Batch = Batch;
-  // --search= selects cost-directed commit ordering; the CLI's own cost
-  // model (the one reporting "simulated time" below) prices candidates, so
-  // the printed before/after numbers and the search's objective agree.
-  Opts.Search = Search;
-  Opts.BeamWidth = BeamWidth;
-  Opts.Lookahead = Lookahead;
-  Opts.SearchWitnesses = SearchWitnesses;
-  Opts.SearchCost = &CM;
-  // A plan artifact carries its producer's confluence certificate;
-  // --search=auto dispatches from it instead of re-running the analysis.
-  if (LP && LP->Confluence)
-    Opts.Confluence = LP->Confluence.get();
 
   // A plan compiled here (or loaded above) serves both --emit-plan and the
   // engine's PrecompiledPlan fast path.
@@ -764,22 +720,13 @@ int cmdRewrite(int Argc, char **Argv) {
     // (tests/CMakeLists.txt pins this with rewrite_stats_json_schema).
     std::fprintf(stderr,
                  "{\"engine\":%s,\"passes\":%llu,\"fired\":%llu,"
-                 "\"matches\":%llu,\"nodes\":%zu,\"batchedNodes\":%llu,"
-                 "\"planCompileSeconds\":%.6f,"
-                 "\"searchSteps\":%llu,\"searchCandidates\":%llu,"
-                 "\"searchExpansions\":%llu,"
-                 "\"modeledCostBefore\":%.9f,\"modeledCostAfter\":%.9f}\n",
+                 "\"matches\":%llu,\"nodes\":%zu,"
+                 "\"planCompileSeconds\":%.6f}\n",
                  Stats.Status.json().c_str(),
                  static_cast<unsigned long long>(Stats.Passes),
                  static_cast<unsigned long long>(Stats.TotalFired),
                  static_cast<unsigned long long>(Stats.TotalMatches),
-                 G->numLiveNodes(),
-                 static_cast<unsigned long long>(Stats.BatchedNodes),
-                 Stats.PlanCompileSeconds,
-                 static_cast<unsigned long long>(Stats.SearchSteps),
-                 static_cast<unsigned long long>(Stats.SearchCandidates),
-                 static_cast<unsigned long long>(Stats.SearchExpansions),
-                 Stats.ModeledCostBefore, Stats.ModeledCostAfter);
+                 G->numLiveNodes(), Stats.PlanCompileSeconds);
 
   std::string Text = graph::writeGraphText(*G);
   if (Out) {

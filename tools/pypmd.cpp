@@ -40,6 +40,7 @@
 
 #include "server/Server.h"
 #include "support/Budget.h"
+#include "support/ParseNumber.h"
 #include "support/Shutdown.h"
 #include "support/ThreadPool.h"
 
@@ -72,11 +73,8 @@ int usage() {
       "<graph.pypmg>\n"
       "                   [--seq N] [--deadline-us N] [--max-steps N]\n"
       "                   [--max-mu N] [--max-rewrites N] [--threads N]\n"
-      "                   [--matcher=machine|plan] [--batch]\n"
+      "                   [--matcher=machine|plan]\n"
       "                   [--fault-seed N] [--fault-period N]\n"
-      "                   [--search=greedy|best-of-n|beam|auto] "
-      "[--beam-width N]\n"
-      "                   [--lookahead N] [--search-witnesses N]\n"
       "       pypmd emit ping [--seq N]\n"
       "       pypmd emit shutdown [--seq N]\n"
       "       pypmd emit corrupt-body <rules> <graph> [--seq N]\n"
@@ -118,56 +116,35 @@ std::string jsonEscape(std::string_view S) {
 //===----------------------------------------------------------------------===//
 
 /// Builds the RewriteRequest for `emit rewrite` / `emit corrupt-*`.
-/// Returns false on bad flags. A rules operand of the form -@NAME makes a
-/// named-rule-set request instead of inlining file bytes.
+/// Returns false on bad flags, including a numeric flag whose value is not
+/// a whole non-negative integer. A rules operand of the form -@NAME makes
+/// a named-rule-set request instead of inlining file bytes.
 bool parseEmitRewrite(int Argc, char **Argv, RewriteRequest &R) {
   const char *Rules = nullptr, *Graph = nullptr;
+  bool BadNumber = false;
   for (int I = 0; I != Argc; ++I) {
     auto Num = [&](const char *Flag, uint64_t &Out) {
-      if (std::strcmp(Argv[I], Flag) == 0 && I + 1 != Argc) {
-        Out = std::strtoull(Argv[++I], nullptr, 10);
-        return true;
-      }
-      return false;
+      if (std::strcmp(Argv[I], Flag) != 0 || I + 1 == Argc)
+        return false;
+      std::optional<uint64_t> V = parseCount(Argv[++I]);
+      BadNumber |= !V;
+      Out = V.value_or(0);
+      return true;
     };
     if (Num("--seq", R.Seq) || Num("--deadline-us", R.DeadlineMicros) ||
         Num("--max-steps", R.MaxSteps) || Num("--max-mu", R.MaxMuUnfolds) ||
         Num("--max-rewrites", R.MaxRewrites) ||
         Num("--fault-seed", R.FaultSiteSeed) ||
-        Num("--fault-period", R.FaultSitePeriod))
+        Num("--fault-period", R.FaultSitePeriod)) {
+      if (BadNumber)
+        return false;
       continue;
+    }
     if (std::strcmp(Argv[I], "--threads") == 0 && I + 1 != Argc) {
       std::optional<unsigned> N = parseThreadCount(Argv[++I]);
       if (!N)
         return false;
       R.Threads = *N;
-      continue;
-    }
-    uint64_t U32Tmp = 0;
-    if (Num("--beam-width", U32Tmp)) {
-      R.BeamWidth = static_cast<uint32_t>(U32Tmp);
-      continue;
-    }
-    if (Num("--lookahead", U32Tmp)) {
-      R.Lookahead = static_cast<uint32_t>(U32Tmp);
-      continue;
-    }
-    if (Num("--search-witnesses", U32Tmp)) {
-      R.SearchWitnesses = static_cast<uint32_t>(U32Tmp);
-      continue;
-    }
-    if (std::strncmp(Argv[I], "--search=", 9) == 0) {
-      const char *V = Argv[I] + 9;
-      if (std::strcmp(V, "greedy") == 0)
-        R.Search = 0;
-      else if (std::strcmp(V, "best-of-n") == 0)
-        R.Search = 1;
-      else if (std::strcmp(V, "beam") == 0)
-        R.Search = 2;
-      else if (std::strcmp(V, "auto") == 0)
-        R.Search = 3;
-      else
-        return false;
       continue;
     }
     if (std::strncmp(Argv[I], "--matcher=", 10) == 0) {
@@ -178,9 +155,7 @@ bool parseEmitRewrite(int Argc, char **Argv, RewriteRequest &R) {
         R.Matcher = 3;
       else
         return false;
-    } else if (std::strcmp(Argv[I], "--batch") == 0)
-      R.Batch = true;
-    else if (std::strncmp(Argv[I], "--", 2) == 0)
+    } else if (std::strncmp(Argv[I], "--", 2) == 0)
       return false; // unknown option
     else if (!Rules)
       Rules = Argv[I];
@@ -211,13 +186,15 @@ int cmdEmit(int Argc, char **Argv) {
   --Argc, ++Argv;
 
   if (std::strcmp(Kind, "ping") == 0 || std::strcmp(Kind, "shutdown") == 0) {
-    uint64_t Seq = 0;
+    std::optional<uint64_t> Seq = 0;
     if (Argc == 2 && std::strcmp(Argv[0], "--seq") == 0)
-      Seq = std::strtoull(Argv[1], nullptr, 10);
+      Seq = parseCount(Argv[1]);
     else if (Argc != 0)
       return usage();
-    writeAll(frameBytes(/*Request=*/true, Kind[0] == 'p' ? encodePing(Seq)
-                                                         : encodeShutdown(Seq)));
+    if (!Seq)
+      return usage();
+    writeAll(frameBytes(/*Request=*/true, Kind[0] == 'p' ? encodePing(*Seq)
+                                                         : encodeShutdown(*Seq)));
     return 0;
   }
 
@@ -335,12 +312,18 @@ bool parseServeOptions(int Argc, char **Argv, ServerOptions &SO,
       Stdio = true;
     else if (std::strcmp(Argv[I], "--socket") == 0 && I + 1 != Argc)
       Socket = Argv[++I];
-    else if (std::strcmp(Argv[I], "--workers") == 0 && I + 1 != Argc)
-      SO.Workers =
-          static_cast<unsigned>(std::strtoul(Argv[++I], nullptr, 10));
-    else if (std::strcmp(Argv[I], "--queue") == 0 && I + 1 != Argc)
-      SO.QueueCapacity = std::strtoull(Argv[++I], nullptr, 10);
-    else if (std::strcmp(Argv[I], "--plan-cache-dir") == 0 && I + 1 != Argc)
+    else if (std::strcmp(Argv[I], "--workers") == 0 && I + 1 != Argc) {
+      // A worker count is a thread count: bounded like --threads.
+      std::optional<unsigned> N = parseThreadCount(Argv[++I]);
+      if (!N)
+        return false;
+      SO.Workers = *N;
+    } else if (std::strcmp(Argv[I], "--queue") == 0 && I + 1 != Argc) {
+      std::optional<uint64_t> N = parseCount(Argv[++I]);
+      if (!N)
+        return false;
+      SO.QueueCapacity = *N;
+    } else if (std::strcmp(Argv[I], "--plan-cache-dir") == 0 && I + 1 != Argc)
       SO.Cache.Dir = Argv[++I];
     else if (std::strcmp(Argv[I], "--sticky-quarantine") == 0)
       SO.StickyQuarantine = true;
