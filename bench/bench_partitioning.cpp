@@ -183,16 +183,17 @@ int runRulesetSweep() {
 }
 
 /// `--daemon-sweep`: what the pypmd plan-cache tiers buy per request
-/// (BENCH_daemon_sweep.json). The same rewrite request — the serialized
-/// §4 epilog-fusion library plus a zoo model's graph text — is served
-/// three ways and timed end to end through Server::handle:
+/// (BENCH_daemon_sweep.json). The same rewrite request — a textual .pypm
+/// rule set (below) plus a zoo model's graph text — is served three ways
+/// and timed end to end through Server::handle:
 ///
 ///  - cold: a fresh daemon per request, no disk cache — every request
-///    pays the .pypmbin deserialize, the lint preflight, and the
-///    MatchPlan compile (this is single-shot `pypmc rewrite`);
+///    pays the DSL front end, the lint preflight, and the MatchPlan
+///    compile (this is single-shot `pypmc rewrite`);
 ///  - disk: a fresh daemon per request with a populated --plan-cache-dir
-///    — the cold-CLI-start path, paying artifact load + key
-///    re-verification but no compile;
+///    — the cold-CLI-start path, paying the sidecar-index and artifact
+///    reads, the embedded .pypmbin decode, key re-verification, the lint
+///    preflight and the MatchPlan compile, but no DSL front end;
 ///  - warm: one long-lived daemon — the raw-bytes memory hit, paying
 ///    neither parse nor compile.
 ///
@@ -218,9 +219,10 @@ int runDaemonSweep(bool Smoke) {
   // the zoo models plus a ladder of match-only patterns: the DSL front
   // end and the MatchPlan compile both get a realistic amount of work,
   // and the rewrite still terminates. (A .pypmbin payload would make the
-  // cold tier's front end near-free and hide what the tiers save — the
-  // hardened .pypmplan loader recompiles the plan as its semantic gate,
-  // so the disk tier's win is exactly the skipped front-end parse.)
+  // cold tier's front end near-free and hide what the tiers save: a
+  // .pypmplan holds the pattern library, not compiled code, so a disk hit
+  // still compiles the plan, and the disk tier's win is exactly the
+  // skipped DSL parse and sema.)
   std::string RuleBytes;
   {
     RuleBytes = "op Relu(1);\nop Tanh(1);\nop Sigmoid(1);\nop Neg(1);\n"

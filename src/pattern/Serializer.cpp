@@ -570,7 +570,7 @@ private:
 
   const Pattern *readPattern(PatternArena &A) {
     DepthScope Scope(*this);
-    uint8_t TagByte;
+    uint8_t TagByte = 0;
     if (!Scope.ok() || !readU8(TagByte))
       return nullptr;
     switch (static_cast<PTag>(TagByte)) {
@@ -698,12 +698,12 @@ private:
 
   const GuardExpr *readGuard(PatternArena &A) {
     DepthScope Scope(*this);
-    uint8_t TagByte;
+    uint8_t TagByte = 0;
     if (!Scope.ok() || !readU8(TagByte))
       return nullptr;
     switch (static_cast<GTag>(TagByte)) {
     case GTag::IntLit: {
-      int64_t V;
+      int64_t V = 0;
       if (!readI64(V))
         return nullptr;
       return A.intLit(V);
@@ -797,7 +797,7 @@ private:
 
   const RhsExpr *readRhs(PatternArena &A) {
     DepthScope Scope(*this);
-    uint8_t TagByte;
+    uint8_t TagByte = 0;
     if (!Scope.ok() || !readU8(TagByte))
       return nullptr;
     switch (static_cast<RTag>(TagByte)) {

@@ -1,13 +1,13 @@
 //===- plan/Executor.cpp - The MatchPlan executor -------------------------===//
 //
-// Program::decode resolves every instruction's operands once; the
-// executor then runs the stream. runThreadedLoop is the one dispatch loop:
-// cell dispatch at its head, the compiled Match steps as computed-goto
-// label bodies. Its step accounting and action sequence are the reference
-// Machine's (Figs. 17-18), step for step, which the differential suites
-// (tests/test_executor.cpp, tests/test_matchplan.cpp) pin. The loop head
-// and AfterStep's label-to-label fast path must charge the same
-// accounting.
+// PlanBuilder resolves every instruction's operands and binds its label
+// once; the executor then runs the stream. runThreadedLoop is the one
+// dispatch loop: cell dispatch at its head, the compiled Match steps as
+// computed-goto label bodies. Its step accounting and action sequence are
+// the reference Machine's (Figs. 17-18), step for step, which the
+// differential suites (tests/test_executor.cpp, tests/test_matchplan.cpp)
+// pin. The loop head and AfterStep's label-to-label fast path must charge
+// the same accounting.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,9 +18,9 @@ using namespace pypm;
 using namespace pypm::plan;
 using namespace pypm::match;
 
-// Dispatch is direct-threaded: each decoded instruction carries the
-// address of its label in runThreadedLoop. That needs the GNU &&label
-// extension (GCC, Clang); there is no portable fallback.
+// Dispatch is direct-threaded: each instruction carries the address of its
+// label in runThreadedLoop. That needs the GNU &&label extension (GCC,
+// Clang); there is no portable fallback.
 #if !defined(__GNUC__) && !defined(__clang__)
 #error "plan/Executor.cpp needs labels-as-values (GCC or Clang)"
 #endif
@@ -37,11 +37,11 @@ namespace {
 /// instruction visited.
 ///
 /// With \p LabelsOut non-null, publishes the per-opcode label table and
-/// executes nothing — decode-time priming; label addresses are only
-/// expressible inside the function that declares the labels.
+/// executes nothing (dispatchLabel); label addresses are only expressible
+/// inside the function that declares the labels.
 MachineStatus runThreadedLoop(ExecState *StP, const Machine::Options *OptsP,
                               const pattern::GuardEnv *EnvP,
-                              const DecodedInstr *Code,
+                              const Instruction *Code,
                               const uint32_t *ChildPCs,
                               const void *const **LabelsOut) {
   // Indexed by OpCode's numeric value (opcodes start at 1).
@@ -58,7 +58,7 @@ MachineStatus runThreadedLoop(ExecState *StP, const Machine::Options *OptsP,
   const Machine::Options &Opts = *OptsP;
   const pattern::GuardEnv &Env = *EnvP;
   MachineStatus S = MachineStatus::Running;
-  const DecodedInstr *I = nullptr;
+  const Instruction *I = nullptr;
   term::TermRef T = nullptr;
 
   while (St.Status == MachineStatus::Running) {
@@ -252,59 +252,10 @@ MachineStatus runThreadedLoop(ExecState *StP, const Machine::Options *OptsP,
 
 } // namespace
 
-void Program::decode() {
-  Stream.clear();
-  Stream.reserve(Code.size());
-  for (const Instr &I : Code) {
-    DecodedInstr D;
-    D.Op = I.Op;
-    switch (I.Op) {
-    case OpCode::MatchVar:
-      D.Sym = Syms[I.A];
-      break;
-    case OpCode::MatchApp:
-      D.OpId = term::OpId(I.A);
-      D.FirstChild = I.FirstChild;
-      D.NumChildren = I.NumChildren;
-      break;
-    case OpCode::MatchFunVarApp:
-      D.Sym = Syms[I.A];
-      D.FirstChild = I.FirstChild;
-      D.NumChildren = I.NumChildren;
-      break;
-    case OpCode::MatchAlt:
-      D.A = I.A;
-      D.B = I.B;
-      break;
-    case OpCode::MatchGuarded:
-      D.A = I.A;
-      D.Guard = Guards[I.B];
-      break;
-    case OpCode::MatchExists:
-    case OpCode::MatchExistsFun:
-      D.A = I.A;
-      D.Sym = Syms[I.B];
-      break;
-    case OpCode::MatchConstraint:
-      D.A = I.A;
-      D.B = I.B;
-      D.Sym = Syms[I.C];
-      break;
-    case OpCode::MatchMu:
-      D.Mu = Mus[I.A];
-      break;
-    case OpCode::Fail:
-      break;
-    }
-    Stream.push_back(D);
-  }
-  // Label addresses are function-local to runThreadedLoop and stable for
-  // the process lifetime, so priming them here keeps executor
-  // construction O(1).
+const void *pypm::plan::dispatchLabel(OpCode Op) {
   const void *const *Labels = nullptr;
   runThreadedLoop(nullptr, nullptr, nullptr, nullptr, nullptr, &Labels);
-  for (DecodedInstr &D : Stream)
-    D.Label = Labels[static_cast<uint8_t>(D.Op)];
+  return Labels[static_cast<uint8_t>(Op)];
 }
 
 MachineStatus Executor::matchEntry(size_t EntryIdx, term::TermRef T) {
@@ -325,7 +276,7 @@ MachineStatus Executor::resume() {
 
 MachineStatus Executor::runLoop() {
   ExecGuardEnv Env(St, Arena);
-  const DecodedInstr *Code = Prog.Stream.data();
+  const Instruction *Code = Prog.Stream.data();
   const uint32_t *ChildPCs = Prog.ChildPCs.data();
   return runThreadedLoop(&St, &Opts, &Env, Code, ChildPCs, nullptr);
 }

@@ -1,11 +1,12 @@
 //===- plan/Executor.h - The MatchPlan executor -----------------*- C++ -*-===//
 ///
 /// \file
-/// Executes one entry of a plan::Program over its pre-decoded Stream
-/// (Program::decode): every instruction carries its resolved operands and
-/// the address of its dispatch label, so each compiled step is a single
-/// indirect goto straight off the instruction (`goto *I->Label`). This
-/// needs labels-as-values, so the executor builds with GCC or Clang only.
+/// Executes one entry of a plan::Program over its instruction Stream:
+/// every instruction carries its resolved operands and the address of its
+/// dispatch label (bound by PlanBuilder through dispatchLabel), so each
+/// compiled step is a single indirect goto straight off the instruction
+/// (`goto *I->Label`). This needs labels-as-values, so the executor builds
+/// with GCC or Clang only.
 ///
 /// The matching machinery is the trail/choice-point design of
 /// plan::ExecState — persistent cons-list continuation, O(1) choice
@@ -37,15 +38,17 @@
 
 namespace pypm::plan {
 
+/// The address of \p Op's step body inside the executor's dispatch loop.
+/// Stable for the process lifetime; PlanBuilder stores it in every
+/// instruction it emits.
+const void *dispatchLabel(OpCode Op);
+
 class Executor {
 public:
-  /// \p Prog must be decoded (every Program from PlanBuilder::compile or
-  /// the .pypmplan loader is) and must outlive the executor.
+  /// \p Prog (from PlanBuilder::compile) must outlive the executor.
   Executor(const Program &Prog, const term::TermArena &Arena,
            match::Machine::Options Opts = match::Machine::Options())
-      : Prog(Prog), Arena(Arena), Opts(Opts) {
-    assert(Prog.Stream.size() == Prog.Code.size() && "program not decoded");
-  }
+      : Prog(Prog), Arena(Arena), Opts(Opts) {}
 
   /// Matches entry \p EntryIdx of the program against \p T from the empty
   /// substitution; returns the terminal status.

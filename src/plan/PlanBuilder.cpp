@@ -2,6 +2,7 @@
 
 #include "plan/PlanBuilder.h"
 
+#include "plan/Executor.h"
 
 #include <algorithm>
 #include <cassert>
@@ -18,7 +19,6 @@ using pattern::ExistsFunPattern;
 using pattern::ExistsPattern;
 using pattern::FunVarAppPattern;
 using pattern::GuardedPattern;
-using pattern::GuardExpr;
 using pattern::MatchConstraintPattern;
 using pattern::MuPattern;
 using pattern::Pattern;
@@ -28,79 +28,54 @@ using pattern::VarPattern;
 namespace {
 
 //===----------------------------------------------------------------------===//
-// Bytecode emission
+// Instruction emission
 //===----------------------------------------------------------------------===//
 
-// The traversal order (memoized pre-order over shared pattern nodes;
-// operands before sub-patterns, sub-patterns in display order) is a
-// serialization contract: the .pypmplan loader recompiles the artifact's
-// embedded library with this same compiler and requires the streams to
-// agree, so any order change invalidates existing artifacts.
+// Memoized pre-order over shared pattern nodes: a node's instruction is
+// placed before its children's, and children are compiled in display
+// order. Each instruction is emitted ready to run: operands resolved and
+// its dispatch label bound.
 struct Compiler {
   explicit Compiler(Program &P) : P(P) {}
 
   Program &P;
   std::unordered_map<const Pattern *, uint32_t> PCOf;
-  std::unordered_map<Symbol, uint32_t> SymIdx;
-  std::unordered_map<const GuardExpr *, uint32_t> GuardIdx;
-  std::unordered_map<const MuPattern *, uint32_t> MuIdx;
 
-  uint32_t symIdx(Symbol S) {
-    auto [It, New] = SymIdx.emplace(S, static_cast<uint32_t>(P.Syms.size()));
-    if (New)
-      P.Syms.push_back(S);
-    return It->second;
-  }
-  uint32_t guardIdx(const GuardExpr *G) {
-    auto [It, New] =
-        GuardIdx.emplace(G, static_cast<uint32_t>(P.Guards.size()));
-    if (New)
-      P.Guards.push_back(G);
-    return It->second;
-  }
-  uint32_t muIdx(const MuPattern *M) {
-    auto [It, New] = MuIdx.emplace(M, static_cast<uint32_t>(P.Mus.size()));
-    if (New)
-      P.Mus.push_back(M);
-    return It->second;
+  /// Compiles \p Kids and records their PCs in the child-PC pool.
+  template <typename Range> void compileChildren(Range Kids, Instruction &I) {
+    std::vector<uint32_t> PCs;
+    PCs.reserve(Kids.size());
+    for (const Pattern *C : Kids)
+      PCs.push_back(compilePat(C));
+    I.FirstChild = static_cast<uint32_t>(P.ChildPCs.size());
+    I.NumChildren = static_cast<uint32_t>(PCs.size());
+    P.ChildPCs.insert(P.ChildPCs.end(), PCs.begin(), PCs.end());
   }
 
   uint32_t compilePat(const Pattern *Pat) {
     if (auto It = PCOf.find(Pat); It != PCOf.end())
       return It->second;
-    uint32_t PC = static_cast<uint32_t>(P.Code.size());
+    uint32_t PC = static_cast<uint32_t>(P.Stream.size());
     PCOf.emplace(Pat, PC);
-    P.Code.emplace_back();
-    Instr I;
+    P.Stream.emplace_back();
+    Instruction I;
     switch (Pat->kind()) {
     case PatternKind::Var:
       I.Op = OpCode::MatchVar;
-      I.A = symIdx(cast<VarPattern>(Pat)->name());
+      I.Sym = cast<VarPattern>(Pat)->name();
       break;
     case PatternKind::App: {
       const auto *AP = cast<AppPattern>(Pat);
       I.Op = OpCode::MatchApp;
-      I.A = AP->op().index();
-      std::vector<uint32_t> Kids;
-      Kids.reserve(AP->arity());
-      for (const Pattern *C : AP->children())
-        Kids.push_back(compilePat(C));
-      I.FirstChild = static_cast<uint32_t>(P.ChildPCs.size());
-      I.NumChildren = static_cast<uint32_t>(Kids.size());
-      P.ChildPCs.insert(P.ChildPCs.end(), Kids.begin(), Kids.end());
+      I.OpId = AP->op();
+      compileChildren(AP->children(), I);
       break;
     }
     case PatternKind::FunVarApp: {
       const auto *FP = cast<FunVarAppPattern>(Pat);
       I.Op = OpCode::MatchFunVarApp;
-      I.A = symIdx(FP->funVar());
-      std::vector<uint32_t> Kids;
-      Kids.reserve(FP->arity());
-      for (const Pattern *C : FP->children())
-        Kids.push_back(compilePat(C));
-      I.FirstChild = static_cast<uint32_t>(P.ChildPCs.size());
-      I.NumChildren = static_cast<uint32_t>(Kids.size());
-      P.ChildPCs.insert(P.ChildPCs.end(), Kids.begin(), Kids.end());
+      I.Sym = FP->funVar();
+      compileChildren(FP->children(), I);
       break;
     }
     case PatternKind::Alt: {
@@ -114,21 +89,21 @@ struct Compiler {
       const auto *GP = cast<GuardedPattern>(Pat);
       I.Op = OpCode::MatchGuarded;
       I.A = compilePat(GP->sub());
-      I.B = guardIdx(GP->guard());
+      I.Guard = GP->guard();
       break;
     }
     case PatternKind::Exists: {
       const auto *EP = cast<ExistsPattern>(Pat);
       I.Op = OpCode::MatchExists;
       I.A = compilePat(EP->sub());
-      I.B = symIdx(EP->var());
+      I.Sym = EP->var();
       break;
     }
     case PatternKind::ExistsFun: {
       const auto *EP = cast<ExistsFunPattern>(Pat);
       I.Op = OpCode::MatchExistsFun;
       I.A = compilePat(EP->sub());
-      I.B = symIdx(EP->funVar());
+      I.Sym = EP->funVar();
       break;
     }
     case PatternKind::MatchConstraint: {
@@ -136,7 +111,7 @@ struct Compiler {
       I.Op = OpCode::MatchConstraint;
       I.A = compilePat(MP->sub());
       I.B = compilePat(MP->constraint());
-      I.C = symIdx(MP->var());
+      I.Sym = MP->var();
       break;
     }
     case PatternKind::Mu:
@@ -144,7 +119,7 @@ struct Compiler {
       // through the arena, exactly like the per-pattern machines, so the
       // unfold budget and step accounting stay identical.
       I.Op = OpCode::MatchMu;
-      I.A = muIdx(cast<MuPattern>(Pat));
+      I.Mu = cast<MuPattern>(Pat);
       break;
     case PatternKind::RecCall:
       // Only well-formed inside a μ body, which is never compiled. A stray
@@ -152,7 +127,8 @@ struct Compiler {
       I.Op = OpCode::Fail;
       break;
     }
-    P.Code[PC] = I;
+    I.Label = dispatchLabel(I.Op);
+    P.Stream[PC] = I;
     return PC;
   }
 };
@@ -378,13 +354,8 @@ struct TreeInserter {
 
 } // namespace
 
-void PlanBuilder::buildTree(Program &P, const rewrite::RuleSet &Rules,
-                            const term::Signature &Sig) {
-  (void)Sig;
-  P.Tree.clear();
-  P.PathPool.clear();
-  P.Wildcards.clear();
-  P.WildcardBase.clear();
+/// Builds the discrimination tree of \p P from the patterns in \p Rules.
+static void buildTree(Program &P, const rewrite::RuleSet &Rules) {
   P.Tree.emplace_back(); // root
   TreeInserter Ins(P);
 
@@ -440,13 +411,12 @@ Program PlanBuilder::compile(const rewrite::RuleSet &Rules,
   for (const rewrite::RewriteEntry &E : Rules.entries()) {
     EntryCode EC;
     EC.PatternName = E.Pattern->Name;
-    EC.FirstPC = static_cast<uint32_t>(P.Code.size());
+    EC.FirstPC = static_cast<uint32_t>(P.Stream.size());
     EC.RootPC = C.compilePat(E.Pattern->Pat);
-    EC.NumInstrs = static_cast<uint32_t>(P.Code.size()) - EC.FirstPC;
+    EC.NumInstrs = static_cast<uint32_t>(P.Stream.size()) - EC.FirstPC;
     P.Entries.push_back(EC);
   }
-  buildTree(P, Rules, Sig);
-  P.decode();
+  buildTree(P, Rules);
   return P;
 }
 

@@ -93,7 +93,7 @@ void Program::candidates(term::TermRef T, std::vector<uint8_t> &Mask) const {
 
 ProgramInfo Program::info() const {
   ProgramInfo I;
-  I.Instrs = Code.size();
+  I.Instrs = Stream.size();
   I.TreeNodes = Tree.size();
   for (const TreeNode &N : Tree)
     for (const TreeGroup &G : N.Groups)
@@ -185,20 +185,20 @@ std::string Program::disassemble(const term::Signature &Sig) const {
        << E.RootPC << ", " << E.NumInstrs << " instrs, " << E.NumShapes
        << " shapes)\n";
     for (uint32_t PC = E.FirstPC; PC < E.FirstPC + E.NumInstrs; ++PC) {
-      const Instr &I = Code[PC];
+      const Instruction &I = Stream[PC];
       OS << "  " << PC << ": " << opName(I.Op);
       switch (I.Op) {
       case OpCode::MatchVar:
-        OS << " " << Syms[I.A].str();
+        OS << " " << I.Sym.str();
         break;
       case OpCode::MatchApp:
-        OS << " " << Sig.name(term::OpId(I.A)).str() << " [";
+        OS << " " << Sig.name(I.OpId).str() << " [";
         for (uint32_t C = 0; C < I.NumChildren; ++C)
           OS << (C ? " " : "") << ChildPCs[I.FirstChild + C];
         OS << "]";
         break;
       case OpCode::MatchFunVarApp:
-        OS << " " << Syms[I.A].str() << "/" << I.NumChildren << " [";
+        OS << " " << I.Sym.str() << "/" << I.NumChildren << " [";
         for (uint32_t C = 0; C < I.NumChildren; ++C)
           OS << (C ? " " : "") << ChildPCs[I.FirstChild + C];
         OS << "]";
@@ -207,18 +207,17 @@ std::string Program::disassemble(const term::Signature &Sig) const {
         OS << " left=" << I.A << " right=" << I.B;
         break;
       case OpCode::MatchGuarded:
-        OS << " sub=" << I.A << " guard=" << I.B;
+        OS << " sub=" << I.A << " guard=(" << I.Guard->toString() << ")";
         break;
       case OpCode::MatchExists:
       case OpCode::MatchExistsFun:
-        OS << " sub=" << I.A << " var=" << Syms[I.B].str();
+        OS << " sub=" << I.A << " var=" << I.Sym.str();
         break;
       case OpCode::MatchConstraint:
-        OS << " sub=" << I.A << " constr=" << I.B << " var="
-           << Syms[I.C].str();
+        OS << " sub=" << I.A << " constr=" << I.B << " var=" << I.Sym.str();
         break;
       case OpCode::MatchMu:
-        OS << " mu=" << I.A;
+        OS << " " << I.Mu->self().str();
         break;
       case OpCode::Fail:
         break;

@@ -6,10 +6,11 @@
 /// pattern at a time, a plan::Program lowers *all* patterns of a
 /// rewrite::RuleSet together into
 ///
-///  - a flat, table-driven bytecode (one Instr per pattern node, one
-///    contiguous PC range per rule-set entry), pre-decoded once into the
-///    threaded Stream that plan::Executor runs with exactly the reference
-///    machine's small-step semantics, and
+///  - one instruction stream (one Instruction per pattern node, one
+///    contiguous PC range per rule-set entry) that plan::Executor runs
+///    with exactly the reference machine's small-step semantics. Each
+///    instruction carries its operands already resolved (the symbol, the
+///    operator id, the guard and μ pointers) and its dispatch label, and
 ///  - a discrimination tree over (path, operator/arity) tests that factors
 ///    the common prefixes of every pattern — and of every alternate inside
 ///    each pattern — so a single traversal per graph node yields the
@@ -24,10 +25,8 @@
 /// or the committed rewrite sequence. See DESIGN.md §"MatchPlan:
 /// shared-prefix compilation of the pattern set".
 ///
-/// Guards and μ nodes do not lower to bytecode operands: instructions
-/// reference them through side tables (Guards, Mus) resolved against the
-/// pattern arena — at build time directly, after deserialization by a
-/// deterministic re-walk of the embedded library (see PlanSerializer.h).
+/// A Program is never serialized: a .pypmplan carries the pattern library,
+/// and the loader compiles it (see PlanSerializer.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,15 +50,15 @@ struct TraversalTrace;
 /// cells when executing the owning instruction, exactly as the reference
 /// machine pushes them as actions.
 enum class OpCode : uint8_t {
-  MatchVar = 1,    ///< A = symbol index to bind
-  MatchApp,        ///< A = OpId index; children in the ChildPCs pool
-  MatchFunVarApp,  ///< A = symbol index; children in the ChildPCs pool
+  MatchVar = 1,    ///< binds Sym
+  MatchApp,        ///< tests OpId; children in the ChildPCs pool
+  MatchFunVarApp,  ///< binds Sym to the operator; children in ChildPCs
   MatchAlt,        ///< A = left PC, B = right PC (left tried first)
-  MatchGuarded,    ///< A = sub PC, B = guard index
-  MatchExists,     ///< A = sub PC, B = symbol index (θ-checked)
-  MatchExistsFun,  ///< A = sub PC, B = symbol index (φ-checked)
-  MatchConstraint, ///< A = sub PC, B = constraint PC, C = symbol index
-  MatchMu,         ///< A = μ index (unfolds dynamically, like the machines)
+  MatchGuarded,    ///< A = sub PC, then Guard
+  MatchExists,     ///< A = sub PC, then Sym must be θ-bound
+  MatchExistsFun,  ///< A = sub PC, then Sym must be φ-bound
+  MatchConstraint, ///< A = sub PC, B = constraint PC matched against θ(Sym)
+  MatchMu,         ///< unfolds Mu dynamically, like the machines
   Fail,            ///< always backtracks (stray RecCall outside a μ body)
 };
 constexpr uint8_t kNumOpCodes = static_cast<uint8_t>(OpCode::Fail);
@@ -67,28 +66,16 @@ constexpr uint8_t kNumOpCodes = static_cast<uint8_t>(OpCode::Fail);
 /// Sentinel "no program counter".
 constexpr uint32_t kNoPC = ~0u;
 
-/// One bytecode instruction. Fixed-width operands; App/FunVarApp child PCs
-/// live in a shared pool (instructions stay trivially serializable).
-struct Instr {
-  OpCode Op = OpCode::MatchVar;
-  uint32_t A = 0, B = 0, C = 0;
-  uint32_t FirstChild = 0, NumChildren = 0;
-};
-
-/// One pre-decoded instruction: Stream[PC] executes exactly what Code[PC]
-/// describes, with its side-table operands already resolved to the values
-/// the step reads (the interned Symbol, the operator id, the GuardExpr /
-/// MuPattern pointers). Decoding renames no PC and reorders nothing, so
-/// the executed step sequence is the bytecode's. Only the fields the
-/// opcode reads are set. Nothing here points into the owning Program —
-/// children stay an index into ChildPCs — so a Program copies and moves
-/// by value with its stream intact.
-struct DecodedInstr {
+/// One instruction. Only the fields the opcode reads are set. Nothing
+/// here points into the owning Program — children stay an index into
+/// ChildPCs — so a Program copies and moves by value with its stream
+/// intact.
+struct Instruction {
   OpCode Op = OpCode::Fail;
-  /// Computed-goto dispatch target inside the executor's loop, set by
-  /// decode().
+  /// Computed-goto dispatch target inside the executor's loop, bound by
+  /// PlanBuilder (plan::dispatchLabel).
   const void *Label = nullptr;
-  Symbol Sym;                                ///< resolved Syms[] operand
+  Symbol Sym;                                ///< bound/checked variable
   term::OpId OpId;                           ///< MatchApp operator
   const pattern::GuardExpr *Guard = nullptr; ///< MatchGuarded
   const pattern::MuPattern *Mu = nullptr;    ///< MatchMu
@@ -145,24 +132,14 @@ struct ProgramInfo {
 };
 
 /// The compiled match plan for one rule set. Borrows the pattern arena the
-/// rule set's library owns (Guards and Mus point into it); keep the
+/// rule set's library owns (guard and μ operands point into it); keep the
 /// library alive while the program is in use.
 struct Program {
   std::vector<EntryCode> Entries;
-  std::vector<Instr> Code;
+  std::vector<Instruction> Stream;
   std::vector<uint32_t> ChildPCs;
-  std::vector<Symbol> Syms;
-  std::vector<const pattern::GuardExpr *> Guards;
-  std::vector<const pattern::MuPattern *> Mus;
 
-  /// Code pre-decoded for plan::Executor (same length, same PCs). Filled
-  /// by decode(), which PlanBuilder::compile runs once; the .pypmplan
-  /// loader hands out a compiled Program, so every Program a caller
-  /// receives is already decoded.
-  std::vector<DecodedInstr> Stream;
-
-  // Discrimination tree (never serialized: deterministically rebuilt from
-  // the patterns, so a hostile artifact cannot smuggle in a wrong one).
+  // Discrimination tree.
   std::vector<TreeNode> Tree; ///< [0] is the root when non-empty
   std::vector<uint8_t> PathPool;
   std::vector<uint32_t> Wildcards; ///< entries that are always candidates
@@ -174,10 +151,6 @@ struct Program {
   std::vector<uint8_t> WildcardBase;
 
   size_t numEntries() const { return Entries.size(); }
-
-  /// (Re)builds Stream from Code and the side tables. Defined next to the
-  /// executor's dispatch labels (plan/Executor.cpp).
-  void decode();
 
   /// One traversal of the discrimination tree at graph node \p N: sets
   /// Mask[I] = 1 for every entry I that can possibly match the tree
@@ -192,7 +165,7 @@ struct Program {
   ProgramInfo info() const;
 
   /// Human-readable dump of the discrimination tree and the per-entry
-  /// bytecode (`pypmc --emit-plan`).
+  /// instruction stream (`pypmc --emit-plan`).
   std::string disassemble(const term::Signature &Sig) const;
 };
 

@@ -163,8 +163,8 @@ enum class Traversal : uint8_t {
 ///    compares against;
 ///  - Plan: the whole rule set compiled into one shared discrimination-tree
 ///    bytecode program (plan::Program), run by plan::Executor over its
-///    pre-decoded stream; one tree traversal per node yields the candidate
-///    set for all patterns at once.
+///    instruction stream; one tree traversal per node yields the
+///    candidate set for all patterns at once.
 enum class MatcherKind : uint8_t { Machine, Plan };
 
 struct RewriteOptions {

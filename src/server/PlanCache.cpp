@@ -5,6 +5,7 @@
 #include "dsl/Sema.h"
 #include "pattern/Serializer.h"
 #include "plan/PlanBuilder.h"
+#include "plan/PlanSerializer.h"
 #include "support/Hash.h"
 
 #include <atomic>
@@ -55,27 +56,34 @@ static uint64_t rawKey(std::string_view Bytes) {
   return H.value();
 }
 
+/// The canonical bytes and content key of \p E's loaded library.
+static void canonicalize(CachedRuleSet &E) {
+  E.LibBytes = pattern::serializeLibrary(*E.Lib, E.Sig);
+  E.Key = plan::cacheKey(E.LibBytes, E.Sig);
+}
+
+/// Compiles \p E's library, once, and runs its lint preflight.
+static void compileEntry(CachedRuleSet &E) {
+  E.Rules.addLibrary(*E.Lib);
+  E.Prog = plan::PlanBuilder::compile(E.Rules, E.Sig);
+  E.Lint = analysis::lintRuleSet(E.Rules, E.Sig);
+}
+
 /// Builds a CachedRuleSet from request bytes (text / .pypmbin / .pypmplan,
 /// sniffed). Returns nullptr with diagnostics on malformed input.
 static std::shared_ptr<CachedRuleSet> build(std::string_view Bytes,
                                             DiagnosticEngine &Diags) {
   auto E = std::make_shared<CachedRuleSet>();
-  if (startsWith(Bytes, "PYPL")) {
-    E->LP = plan::deserializePlan(Bytes, E->Sig, Diags);
-    if (!E->LP)
-      return nullptr;
-  } else {
-    E->Lib = startsWith(Bytes, "PYPM")
-                 ? pattern::deserializeLibrary(Bytes, E->Sig, Diags)
-                 : dsl::compile(Bytes, E->Sig, Diags);
-    if (!E->Lib)
-      return nullptr;
-    E->OwnRules.addLibrary(*E->Lib);
-    E->OwnProg = plan::PlanBuilder::compile(E->OwnRules, E->Sig);
-  }
-  E->LibBytes = pattern::serializeLibrary(E->lib(), E->Sig);
-  E->Key = plan::cacheKey(E->LibBytes, E->Sig);
-  E->Lint = analysis::lintRuleSet(E->rules(), E->Sig);
+  if (startsWith(Bytes, "PYPL"))
+    E->Lib = plan::deserializePlan(Bytes, E->Sig, Diags);
+  else if (startsWith(Bytes, "PYPM"))
+    E->Lib = pattern::deserializeLibrary(Bytes, E->Sig, Diags);
+  else
+    E->Lib = dsl::compile(Bytes, E->Sig, Diags);
+  if (!E->Lib)
+    return nullptr;
+  canonicalize(*E);
+  compileEntry(*E);
   return E;
 }
 
@@ -150,19 +158,18 @@ std::shared_ptr<CachedRuleSet> PlanCache::tryLoadDisk(uint64_t Key) {
   Buf << In.rdbuf();
   std::string Bytes = Buf.str();
 
-  // The hardened .pypmplan loader is the corruption detector: truncation,
-  // bit flips, and torn writes all fail deserialization. A failure is a
-  // miss; the caller recompiles and tryStoreDisk repairs the entry.
+  // The .pypmplan loader is the corruption detector: its checksum rejects
+  // truncation, bit flips and torn writes. A failure is a miss; the caller
+  // rebuilds and tryStoreDisk repairs the entry.
   DiagnosticEngine Diags;
   auto E = std::make_shared<CachedRuleSet>();
-  E->LP = plan::deserializePlan(Bytes, E->Sig, Diags);
-  if (!E->LP) {
+  E->Lib = plan::deserializePlan(Bytes, E->Sig, Diags);
+  if (!E->Lib) {
     std::lock_guard<std::mutex> Lock(Mu);
     ++Counters.CorruptDiskEntries;
     return nullptr;
   }
-  E->LibBytes = pattern::serializeLibrary(*E->LP->Lib, E->Sig);
-  E->Key = plan::cacheKey(E->LibBytes, E->Sig);
+  canonicalize(*E);
   // The file name is an index, not a proof: a valid artifact stored under
   // the wrong name (or a key collision) must not be served as Key.
   if (E->Key != Key) {
@@ -170,7 +177,7 @@ std::shared_ptr<CachedRuleSet> PlanCache::tryLoadDisk(uint64_t Key) {
     ++Counters.CorruptDiskEntries;
     return nullptr;
   }
-  E->Lint = analysis::lintRuleSet(E->rules(), E->Sig);
+  compileEntry(*E);
   return E;
 }
 
@@ -216,12 +223,7 @@ void PlanCache::tryStoreDisk(const CachedRuleSet &E) {
     return;
   ::mkdir(Opts.Dir.c_str(), 0777); // best-effort; single level is enough
 
-  DiagnosticEngine Diags;
-  std::string Bytes =
-      plan::serializePlan(E.lib(), E.Sig, /*RulesOnly=*/true, Diags);
-  if (Bytes.empty())
-    return; // best-effort tier: never fail the request over it
-  atomicInstall(diskPath(E.Key), Bytes);
+  atomicInstall(diskPath(E.Key), plan::serializePlan(*E.Lib, E.Sig));
 }
 
 void PlanCache::tryStoreDiskIndex(uint64_t RawKey, std::string_view RawBytes,
@@ -320,7 +322,7 @@ PlanCache::acquire(std::string_view RawBytes, DiagnosticEngine &Diags,
   // Cold-start fast path: the sidecar index maps these exact raw bytes to
   // their artifact without building anything — the front-end parse is
   // precisely what this tier exists to skip. The artifact still passes
-  // the full hardened loader and key re-verification inside tryLoadDisk.
+  // the loader and key re-verification inside tryLoadDisk.
   uint64_t IndexedKey = 0;
   bool IndexTried = false;
   if (auto E = tryLoadDiskByRaw(RK, RawBytes, IndexedKey, IndexTried)) {

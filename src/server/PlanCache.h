@@ -3,11 +3,12 @@
 /// \file
 /// The daemon's compile-once layer. A rule set arrives as raw bytes
 /// (textual .pypm, a .pypmbin library, or a .pypmplan artifact — sniffed
-/// by magic); the cache canonicalizes it to (library bytes, signature
-/// layout), keys it with plan::cacheKey (FNV-1a over both), and hands back
-/// a ready-to-serve CachedRuleSet: the compiled plan::Program, the
-/// RuleSet, and the lint-preflight report, shared (immutably) by every
-/// concurrent request.
+/// by magic); all three load to one pattern library, which the cache
+/// canonicalizes to (library bytes, signature layout), keys with
+/// plan::cacheKey (FNV-1a over both), and compiles once into a
+/// ready-to-serve CachedRuleSet: the compiled plan::Program, the RuleSet,
+/// and the lint-preflight report, shared (immutably) by every concurrent
+/// request.
 ///
 /// Three tiers, fastest first:
 ///
@@ -17,10 +18,12 @@
 ///    .pypmbin of a previously-compiled .pypm source); deduped to the same
 ///    entry.
 ///  - on-disk artifact hit (Options::Dir): <dir>/<16-hex-key>.pypmplan,
-///    read through the existing hostile-input-hardened .pypmplan loader.
-///    Anything that loader rejects — truncation, corruption, a torn write
-///    from a process killed mid-update — is a MISS, never a fault, and is
-///    repaired (overwritten atomically) by the recompile that follows.
+///    read through the .pypmplan loader and compiled. Anything that loader
+///    rejects — truncation, corruption, a torn write from a process killed
+///    mid-update (all caught by the artifact's checksum), or an artifact of
+///    an older format version — is a MISS, never a fault, and is repaired
+///    (overwritten atomically) by the rebuild that follows. A hit skips
+///    the front end (DSL parse and sema), not the plan compile.
 ///    A checksummed sidecar index (<16-hex-rawkey>.pypmreq: the raw
 ///    request bytes and the content key they canonicalize to) lets a cold
 ///    process find the artifact WITHOUT first building the rule set —
@@ -32,8 +35,8 @@
 ///    Trust model: the index's raw→content mapping is the one claim the
 ///    cache accepts from disk without recomputing it (recomputing is the
 ///    build the index exists to skip); it is crash-safe by checksum +
-///    atomic rename, and the artifact it points at still passes the full
-///    hardened loader and key re-verification. A deliberately forged
+///    atomic rename, and the artifact it points at still passes the
+///    loader and key re-verification. A deliberately forged
 ///    mapping requires write access to the cache directory — the
 ///    directory is the trust boundary, as for any compiler cache.
 ///
@@ -54,7 +57,7 @@
 #define PYPM_SERVER_PLANCACHE_H
 
 #include "analysis/Analysis.h"
-#include "plan/PlanSerializer.h"
+#include "plan/Program.h"
 #include "rewrite/Rule.h"
 #include "server/Protocol.h"
 #include "support/Diagnostics.h"
@@ -77,21 +80,16 @@ struct CachedRuleSet {
   uint64_t Key = 0;     ///< plan::cacheKey(LibBytes, Sig)
   std::string LibBytes; ///< canonical .pypmbin (identity check on hits)
   term::Signature Sig;
-  /// Exactly one of Lib / LP owns the library (LP when the input or disk
-  /// entry was a .pypmplan artifact).
   std::unique_ptr<pattern::Library> Lib;
-  std::unique_ptr<plan::LoadedPlan> LP;
-  rewrite::RuleSet OwnRules;
-  plan::Program OwnProg;
+  rewrite::RuleSet Rules; ///< Lib's patterns with rules (borrows Lib)
+  plan::Program Prog;     ///< Rules compiled once, at load
   /// Lint preflight, run once at load. Error findings make every request
   /// against this rule set LintRejected without ever reaching the engine.
   analysis::LintReport Lint;
 
-  const rewrite::RuleSet &rules() const { return LP ? LP->Rules : OwnRules; }
-  /// The compiled plan, decoded once with the entry and shared read-only
-  /// by every request's executors.
-  const plan::Program &prog() const { return LP ? LP->Prog : OwnProg; }
-  const pattern::Library &lib() const { return LP ? *LP->Lib : *Lib; }
+  const rewrite::RuleSet &rules() const { return Rules; }
+  /// The compiled plan, shared read-only by every request's executors.
+  const plan::Program &prog() const { return Prog; }
 
   /// Sticky per-rule-set quarantine (ServerOptions::StickyQuarantine):
   /// patterns a past request quarantined start later requests disabled.

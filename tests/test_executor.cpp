@@ -1,6 +1,6 @@
 //===- tests/test_executor.cpp - Plan executor ≡ reference machine -----------===//
 ///
-/// plan::Executor runs a compiled plan::Program over its pre-decoded
+/// plan::Executor runs a compiled plan::Program over its instruction
 /// stream; the reference Machine is the idealized semantics of
 /// Figs. 17–18. These tests pin their equivalence through the shared
 /// per-attempt oracle (TestHelpers.h expectExecutorMatchesMachine: status,
@@ -14,9 +14,9 @@
 ///    and random (pattern, term) pairs across the whole core calculus;
 ///  - AotThreadedTest / AotThreadedRandomTest: one executor reused across
 ///    every attempt (the engine's mode) — reuse parity with fresh runs, and
-///    a many-entry program over shared side tables;
-///  - AotLowering / PlanExecutorTest: the decoded stream, the μ-unfold
-///    memo, the budget poll, and a Program copied by value;
+///    a many-entry program;
+///  - AotLowering / PlanExecutorTest: operator ids baked into the stream,
+///    the μ-unfold memo, the budget poll, and a Program copied by value;
 ///  - AotEngine / AotGovernanceStressTest: the engine on a shared
 ///    precompiled plan at every thread count, and under budgets,
 ///    quarantine, and injected faults.
@@ -364,8 +364,7 @@ TEST_F(AotThreadedTest, ReusedExecutorMatchesFreshPerAttempt) {
 
 TEST_F(AotThreadedTest, PipelineProgramAgreesOnEveryEntryAndNode) {
   // The full pipeline plan over a real model: every (entry, node) attempt
-  // on one reused executor must agree — the multi-entry, shared-side-table
-  // case.
+  // on one reused executor must agree — the multi-entry case.
   CompiledPipeline CP;
   models::TransformerConfig TC;
   TC.Name = "t";
@@ -437,8 +436,8 @@ class AotThreadedRandomTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(AotThreadedRandomTest, RandomPatternsAgree) {
   // 150 random patterns compiled into ONE program, every attempt on one
-  // reused executor: entries share the side tables, the Scratch arena,
-  // and the μ-unfold memo.
+  // reused executor: entries share the Scratch arena and the μ-unfold
+  // memo.
   RandomCalculus RC(GetParam() * 7411 + 3);
   std::deque<NamedPattern> Defs;
   std::vector<term::TermRef> Terms;
@@ -465,63 +464,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, AotThreadedRandomTest,
                          ::testing::Range<uint64_t>(0, 50));
 
 //===----------------------------------------------------------------------===//
-// The decoded stream and the executor's own state
+// The instruction stream and the executor's own state
 //===----------------------------------------------------------------------===//
 
-TEST(AotLowering, StreamPreservesPCsAndResolvesOperands) {
-  CompiledPipeline CP;
-  const plan::Program &P = CP.Prog;
-  ASSERT_EQ(P.Stream.size(), P.Code.size());
-  for (uint32_t PC = 0; PC != P.Code.size(); ++PC) {
-    SCOPED_TRACE("pc=" + std::to_string(PC));
-    const plan::Instr &I = P.Code[PC];
-    const plan::DecodedInstr &D = P.Stream[PC];
-    ASSERT_EQ(D.Op, I.Op);
-    switch (I.Op) {
-    case OpCode::MatchVar:
-      EXPECT_EQ(D.Sym, P.Syms[I.A]);
-      break;
-    case OpCode::MatchApp:
-      EXPECT_EQ(D.OpId, term::OpId(I.A));
-      EXPECT_EQ(D.FirstChild, I.FirstChild);
-      EXPECT_EQ(D.NumChildren, I.NumChildren);
-      break;
-    case OpCode::MatchFunVarApp:
-      EXPECT_EQ(D.Sym, P.Syms[I.A]);
-      EXPECT_EQ(D.FirstChild, I.FirstChild);
-      EXPECT_EQ(D.NumChildren, I.NumChildren);
-      break;
-    case OpCode::MatchAlt:
-      EXPECT_EQ(D.A, I.A);
-      EXPECT_EQ(D.B, I.B);
-      break;
-    case OpCode::MatchGuarded:
-      EXPECT_EQ(D.A, I.A);
-      EXPECT_EQ(D.Guard, P.Guards[I.B]);
-      break;
-    case OpCode::MatchExists:
-    case OpCode::MatchExistsFun:
-      EXPECT_EQ(D.A, I.A);
-      EXPECT_EQ(D.Sym, P.Syms[I.B]);
-      break;
-    case OpCode::MatchConstraint:
-      EXPECT_EQ(D.A, I.A);
-      EXPECT_EQ(D.B, I.B);
-      EXPECT_EQ(D.Sym, P.Syms[I.C]);
-      break;
-    case OpCode::MatchMu:
-      EXPECT_EQ(D.Mu, P.Mus[I.A]);
-      break;
-    case OpCode::Fail:
-      break;
-    }
-  }
-}
-
 TEST(AotLowering, StreamBakesInRenumberedOpIds) {
-  // The decoded stream bakes the concrete operator ids its MatchApp steps
+  // The stream bakes in the concrete operator ids its MatchApp steps
   // compare against: the same rule set compiled against a renumbered
-  // signature decodes to the same operator names under different ids.
+  // signature compiles to the same operator names under different ids.
   CompiledPipeline A;
   term::Signature SigC;
   SigC.getOrAddOp("zz_renumbering_pad", 3);
@@ -623,7 +572,7 @@ RunResult runPrecompiled(const models::ModelEntry &Model, term::Signature &Sig,
 } // namespace
 
 TEST(AotEngine, ThreadedZooMatchesPlanAtEveryThreadCount) {
-  // One decoded plan serves every thread count (the daemon's situation):
+  // One compiled plan serves every thread count (the daemon's situation):
   // its workers' executors read the shared stream concurrently.
   for (const auto &Suite : {models::hfSuite(), models::tvSuite()}) {
     for (const models::ModelEntry &Model : Suite) {
@@ -686,7 +635,7 @@ TEST(AotEngine, AttemptCounterCaveatAcrossMatcherKinds) {
 
 TEST(AotEngine, PrecompiledPlanDrivesThreadedRuns) {
   // A Program copied by value (a cache entry's copy, say) carries its
-  // decoded stream along and drives the engine like the original.
+  // instruction stream along and drives the engine like the original.
   auto Suite = models::hfSuite();
   ASSERT_FALSE(Suite.empty());
   const models::ModelEntry &Model = Suite.front();

@@ -17,6 +17,7 @@
 #include "plan/PlanSerializer.h"
 #include "rewrite/RewriteEngine.h"
 #include "support/Diagnostics.h"
+#include "support/Hash.h"
 #include "term/TermParser.h"
 
 #include <gtest/gtest.h>
@@ -331,36 +332,52 @@ std::string validPlan() {
                                "pattern RR(x) { return Relu(Relu(x)); }\n"
                                "rule rr for RR(x) { return Relu(x); }\n",
                                Sig);
-  DiagnosticEngine Diags;
-  std::string Bytes = plan::serializePlan(*Lib, Sig, /*RulesOnly=*/true, Diags);
-  EXPECT_FALSE(Diags.hasErrors()) << Diags.renderAll();
-  return Bytes;
+  return plan::serializePlan(*Lib, Sig);
+}
+
+/// Seals a hand-built plan payload with the trailing FNV-1a checksum the
+/// writer appends, so a test reaches the reader's gates behind it.
+std::string sealPlan(std::string Payload) {
+  Fnv1aHash H;
+  H.bytes(Payload.data(), Payload.size());
+  uint64_t Sum = H.value();
+  for (int I = 0; I != 8; ++I)
+    Payload.push_back(static_cast<char>(Sum >> (8 * I)));
+  return Payload;
+}
+
+/// The header and embedded library of a hand-built v6 plan.
+std::string planHeader(const std::string &Lib, uint32_t LibLen) {
+  std::string B = "PYPL";
+  appendU32(B, 6); // plan version
+  appendU32(B, LibLen);
+  B += Lib;
+  return B;
 }
 
 struct PlanParse {
-  std::unique_ptr<plan::LoadedPlan> Plan;
+  std::unique_ptr<pattern::Library> Lib;
   DiagnosticEngine Diags;
   term::Signature Sig;
 
   explicit PlanParse(std::string_view Bytes) {
-    Plan = plan::deserializePlan(Bytes, Sig, Diags);
+    Lib = plan::deserializePlan(Bytes, Sig, Diags);
   }
 };
 
 TEST(MalformedPlanBinary, ValidPlanRoundTrips) {
   PlanParse P(validPlan());
-  ASSERT_NE(P.Plan, nullptr);
+  ASSERT_NE(P.Lib, nullptr);
   EXPECT_FALSE(P.Diags.hasErrors());
-  EXPECT_EQ(P.Plan->Prog.Entries.size(), 1u);
-  EXPECT_EQ(P.Plan->Rules.entries().size(), 1u);
-  EXPECT_NE(P.Plan->Lib, nullptr);
+  EXPECT_EQ(P.Lib->PatternDefs.size(), 1u);
+  EXPECT_EQ(P.Lib->Rules.size(), 1u);
 }
 
 TEST(MalformedPlanBinary, BadMagicRejected) {
   std::string B = validPlan();
   B[0] = 'X';
   PlanParse P(B);
-  EXPECT_EQ(P.Plan, nullptr);
+  EXPECT_EQ(P.Lib, nullptr);
   EXPECT_NE(firstError(P.Diags).Message.find("bad magic"), std::string::npos);
 }
 
@@ -368,30 +385,32 @@ TEST(MalformedPlanBinary, BadVersionRejected) {
   std::string B = validPlan();
   B[4] = 99; // version u32 lives at offset 4
   PlanParse P(B);
-  EXPECT_EQ(P.Plan, nullptr);
+  EXPECT_EQ(P.Lib, nullptr);
   EXPECT_NE(firstError(P.Diags).Message.find("unsupported match plan"),
             std::string::npos);
 }
 
 TEST(MalformedPlanBinary, PreviousVersionRejected) {
-  // v4 artifacts ended with a confluence-certificate section; v5 dropped
-  // it. A v4 artifact gets the clean version error, not a misparse of its
-  // sections.
+  // v5 artifacts carried the compiled instruction streams; v6 dropped
+  // them. A v5 artifact gets the clean version error, not a checksum
+  // failure or a misparse of its sections.
   std::string B = validPlan();
-  ASSERT_EQ(B[4], 5);
-  B[4] = 4;
+  ASSERT_EQ(B[4], 6);
+  B[4] = 5;
   PlanParse P(B);
-  EXPECT_EQ(P.Plan, nullptr);
+  EXPECT_EQ(P.Lib, nullptr);
   EXPECT_NE(firstError(P.Diags).Message.find("unsupported match plan "
-                                             "version 4"),
+                                             "version 5"),
             std::string::npos)
       << firstError(P.Diags).Message;
 }
 
 TEST(MalformedPlanBinary, TrailingBytesRejected) {
-  std::string B = validPlan() + "x";
-  PlanParse P(B);
-  EXPECT_EQ(P.Plan, nullptr);
+  // Checksummed, so only the reader's own framing can catch the extra
+  // byte.
+  std::string Valid = validPlan();
+  PlanParse P(sealPlan(Valid.substr(0, Valid.size() - 8) + "x"));
+  EXPECT_EQ(P.Lib, nullptr);
   EXPECT_NE(firstError(P.Diags).Message.find("trailing bytes"),
             std::string::npos);
 }
@@ -401,24 +420,23 @@ TEST(MalformedPlanBinary, EveryPrefixTruncationFailsCleanly) {
   for (size_t Len = 0; Len != Valid.size(); ++Len) {
     SCOPED_TRACE(Len);
     PlanParse P(std::string_view(Valid).substr(0, Len));
-    EXPECT_EQ(P.Plan, nullptr);
+    EXPECT_EQ(P.Lib, nullptr);
     EXPECT_TRUE(P.Diags.hasErrors());
   }
 }
 
-TEST(MalformedPlanBinary, SingleByteCorruptionNeverCrashes) {
+TEST(MalformedPlanBinary, SingleByteCorruptionIsAlwaysRejected) {
+  // The trailing checksum covers every byte before it, and FNV-1a changes
+  // under any single-byte change: no flip anywhere loads, not even one
+  // that leaves a well-formed library behind.
   const std::string Valid = validPlan();
   for (size_t I = 0; I != Valid.size(); ++I) {
     SCOPED_TRACE(I);
     std::string B = Valid;
     B[I] = static_cast<char>(~B[I]);
-    // Any outcome is acceptable except a crash: either the reader rejects
-    // the artifact with a diagnostic, or the recompile-and-compare gate
-    // replaces the tampered streams with a trusted fresh compile.
     PlanParse P(B);
-    if (!P.Plan) {
-      EXPECT_TRUE(P.Diags.hasErrors());
-    }
+    EXPECT_EQ(P.Lib, nullptr);
+    EXPECT_TRUE(P.Diags.hasErrors());
   }
 }
 
@@ -426,27 +444,50 @@ TEST(MalformedPlanBinary, ImplausibleEntryCountRejected) {
   // Header and embedded library are honest; the entry count then claims
   // far more entries than the buffer could hold.
   std::string Lib = validBinary();
-  std::string B = "PYPL";
-  appendU32(B, 5); // plan version
-  appendU32(B, static_cast<uint32_t>(Lib.size()));
-  B += Lib;
+  std::string B = planHeader(Lib, static_cast<uint32_t>(Lib.size()));
   appendU32(B, 0xFFFFFFFFu);
-  PlanParse P(B);
-  EXPECT_EQ(P.Plan, nullptr);
+  PlanParse P(sealPlan(B));
+  EXPECT_EQ(P.Lib, nullptr);
   EXPECT_NE(firstError(P.Diags).Message.find("implausible entry count"),
             std::string::npos);
 }
 
 TEST(MalformedPlanBinary, TruncatedEmbeddedLibraryRejected) {
   std::string Lib = validBinary();
-  std::string B = "PYPL";
-  appendU32(B, 5); // plan version
-  appendU32(B, static_cast<uint32_t>(Lib.size() + 64)); // longer than payload
-  B += Lib;
-  PlanParse P(B);
-  EXPECT_EQ(P.Plan, nullptr);
+  // The length claims more than the payload holds.
+  PlanParse P(
+      sealPlan(planHeader(Lib, static_cast<uint32_t>(Lib.size() + 64))));
+  EXPECT_EQ(P.Lib, nullptr);
   EXPECT_NE(firstError(P.Diags).Message.find("truncated embedded"),
             std::string::npos);
+}
+
+TEST(MalformedPlanBinary, EntryNamesMustBeTheLibrarysRuleSet) {
+  // A well-formed, checksummed plan whose entry table does not name the
+  // rule set RuleSet::addLibrary builds from its library: a renamed entry,
+  // a missing one, and an extra one are all rejected.
+  std::string Lib = validBinary();
+  auto planNaming = [&](std::initializer_list<const char *> Names) {
+    std::string B = planHeader(Lib, static_cast<uint32_t>(Lib.size()));
+    appendU32(B, static_cast<uint32_t>(Names.size()));
+    for (const char *N : Names) {
+      appendU32(B, static_cast<uint32_t>(std::strlen(N)));
+      B += N;
+    }
+    return sealPlan(B);
+  };
+  {
+    PlanParse P(planNaming({"RR"}));
+    EXPECT_NE(P.Lib, nullptr) << P.Diags.renderAll();
+  }
+  for (auto Names : {std::initializer_list<const char *>{"Nope"},
+                     std::initializer_list<const char *>{},
+                     std::initializer_list<const char *>{"RR", "RR"}}) {
+    PlanParse P(planNaming(Names));
+    EXPECT_EQ(P.Lib, nullptr);
+    EXPECT_NE(firstError(P.Diags).Message.find("entr"), std::string::npos)
+        << firstError(P.Diags).Message;
+  }
 }
 
 //===----------------------------------------------------------------------===//

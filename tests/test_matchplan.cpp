@@ -27,6 +27,7 @@
 #include "models/Transformers.h"
 #include "models/Zoo.h"
 #include "opt/StdPatterns.h"
+#include "pattern/Serializer.h"
 #include "plan/Executor.h"
 #include "plan/PlanBuilder.h"
 #include "plan/PlanSerializer.h"
@@ -508,20 +509,20 @@ TEST(MatchPlanSerializer, RoundTripDrivesTheEngineIdentically) {
   term::Signature SigA;
   models::declareModelOps(SigA);
   auto LibA = opt::compileEpilog(SigA);
-  DiagnosticEngine Diags;
-  std::string Bytes = plan::serializePlan(*LibA, SigA, /*RulesOnly=*/true,
-                                          Diags);
-  ASSERT_FALSE(Bytes.empty()) << Diags.renderAll();
+  std::string Bytes = plan::serializePlan(*LibA, SigA);
 
   // Load into a signature that already holds ops at different indices:
-  // exercises the operator-renumbering path the loader recompiles around.
+  // the plan compiled from the loaded library uses SigB's operator ids.
   term::Signature SigB;
   SigB.getOrAddOp("zz_unrelated", 3);
   models::declareModelOps(SigB);
   DiagnosticEngine LoadDiags;
-  auto LP = plan::deserializePlan(Bytes, SigB, LoadDiags);
-  ASSERT_NE(LP, nullptr) << LoadDiags.renderAll();
-  EXPECT_EQ(LP->Prog.Entries.size(), LP->Rules.entries().size());
+  auto LibB = plan::deserializePlan(Bytes, SigB, LoadDiags);
+  ASSERT_NE(LibB, nullptr) << LoadDiags.renderAll();
+  rewrite::RuleSet RulesB;
+  RulesB.addLibrary(*LibB);
+  plan::Program ProgB = plan::PlanBuilder::compile(RulesB, SigB);
+  EXPECT_EQ(ProgB.Entries.size(), RulesB.entries().size());
 
   auto Suite = models::hfSuite();
   ASSERT_FALSE(Suite.empty());
@@ -529,10 +530,10 @@ TEST(MatchPlanSerializer, RoundTripDrivesTheEngineIdentically) {
   // Engine run A: off the loaded artifact.
   auto GA = Suite.front().Build(SigB);
   rewrite::RewriteOptions OptsA = planOpts(0);
-  OptsA.PrecompiledPlan = &LP->Prog;
+  OptsA.PrecompiledPlan = &ProgB;
   RunResult A;
-  A.Stats = rewrite::rewriteToFixpoint(*GA, LP->Rules,
-                                       graph::ShapeInference(), OptsA);
+  A.Stats = rewrite::rewriteToFixpoint(*GA, RulesB, graph::ShapeInference(),
+                                       OptsA);
   A.GraphText = graph::writeGraphText(*GA);
   EXPECT_EQ(A.Stats.PlanCompileSeconds, 0.0);
 
@@ -555,16 +556,21 @@ TEST(MatchPlanSerializer, RoundTripDrivesTheEngineIdentically) {
 }
 
 TEST(MatchPlanSerializer, MatchOnlyLibrariesRoundTripToo) {
+  // A plan's entries are the library's patterns with rules; a match-only
+  // library makes a zero-entry plan that still carries the whole library.
   term::Signature Sig;
   models::declareModelOps(Sig);
   auto Lib = opt::compilePartition(Sig); // match-only patterns
-  DiagnosticEngine Diags;
-  std::string Bytes =
-      plan::serializePlan(*Lib, Sig, /*RulesOnly=*/false, Diags);
-  ASSERT_FALSE(Bytes.empty()) << Diags.renderAll();
+  ASSERT_FALSE(Lib->PatternDefs.empty());
+  ASSERT_TRUE(Lib->Rules.empty());
+  std::string Bytes = plan::serializePlan(*Lib, Sig);
   term::Signature Sig2;
   DiagnosticEngine LoadDiags;
-  auto LP = plan::deserializePlan(Bytes, Sig2, LoadDiags);
-  ASSERT_NE(LP, nullptr) << LoadDiags.renderAll();
-  EXPECT_EQ(LP->Prog.Entries.size(), Lib->PatternDefs.size());
+  auto Loaded = plan::deserializePlan(Bytes, Sig2, LoadDiags);
+  ASSERT_NE(Loaded, nullptr) << LoadDiags.renderAll();
+  EXPECT_EQ(pattern::serializeLibrary(*Loaded, Sig2),
+            pattern::serializeLibrary(*Lib, Sig));
+  rewrite::RuleSet Rules;
+  Rules.addLibrary(*Loaded);
+  EXPECT_EQ(plan::PlanBuilder::compile(Rules, Sig2).Entries.size(), 0u);
 }

@@ -633,10 +633,10 @@ TEST(ServerCache, TruncatedDiskEntryIsMissAndRepaired) {
   }
 }
 
-/// An entry written in the previous .pypmplan format (v4, which carried a
-/// confluence-certificate section) gets the loader's clean version error:
+/// An entry written in the previous .pypmplan format (v5, which carried the
+/// compiled instruction streams) gets the loader's clean version error:
 /// the disk tier treats it as a miss, recompiles, and rewrites the entry
-/// as v5.
+/// as v6, byte for byte what a fresh build writes.
 TEST(ServerCache, PreviousFormatEntryIsRebuilt) {
   TempDir Dir;
   PlanCache::Options CO;
@@ -659,19 +659,19 @@ TEST(ServerCache, PreviousFormatEntryIsRebuilt) {
     Artifact = Buf.str();
   }
   ASSERT_GT(Artifact.size(), 8u);
-  ASSERT_EQ(Artifact[4], 5) << "version u32 lives at offset 4";
-  // A v4 header: the loader stops at the version word, before any section.
-  std::string V4 = Artifact;
-  V4[4] = 4;
+  ASSERT_EQ(Artifact[4], 6) << "version u32 lives at offset 4";
+  // A v5 header: the loader stops at the version word, before any section.
+  std::string V5 = Artifact;
+  V5[4] = 5;
   {
     std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
-    Out.write(V4.data(), static_cast<std::streamsize>(V4.size()));
+    Out.write(V5.data(), static_cast<std::streamsize>(V5.size()));
   }
   Cache.flushMemory();
   uint64_t CorruptBefore = Cache.stats().CorruptDiskEntries;
   auto R = Cache.acquire(kRules, Diags, Src);
   ASSERT_TRUE(R) << Diags.renderAll();
-  EXPECT_EQ(Src, CacheSource::Compiled) << "v4 entry served";
+  EXPECT_EQ(Src, CacheSource::Compiled) << "v5 entry served";
   EXPECT_EQ(Cache.stats().CorruptDiskEntries, CorruptBefore + 1);
   Cache.flushMemory();
   auto R2 = Cache.acquire(kRules, Diags, Src);

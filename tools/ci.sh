@@ -59,8 +59,9 @@ ctest --test-dir build-ci-asan "${CTEST_ARGS[@]}"
 
 # The plan matcher's differential, governance (budget/quarantine), and
 # .pypmplan hostile-input suites get a dedicated ASan/UBSan leg: the plan
-# executor's trail/unwind machinery and the loader's recompile-and-compare
-# path allocate aggressively, so this is where lifetime bugs would hide.
+# executor's trail/unwind machinery and the loader's bounded reads over
+# every truncation and flipped byte are where lifetime and bounds bugs
+# would hide.
 # (ctest above already ran them once; this re-run keeps the plan legs loud
 # and greppable in CI logs.)
 echo "=== plan-matcher suites under ASan/UBSan ==="
@@ -158,8 +159,8 @@ done
 # The plan executor (tests/test_executor.cpp) under both sanitizers: its
 # computed-goto loop runs the trail/unwind machinery of ExecState
 # (ASan/UBSan territory) and discovery workers each spin up an executor
-# over the one shared decoded stream (TSan territory). The suites keep the
-# names of the matchers they were ported from (FastMatcher*, Aot*), so
+# over the one shared instruction stream (TSan territory). The suites keep
+# the names of the matchers they were ported from (FastMatcher*, Aot*), so
 # their test ids stay stable.
 echo "=== plan-executor suites under ASan/UBSan ==="
 ./build-ci-asan/tests/pypm_tests --gtest_filter='FastMatcher*:*Aot*'

@@ -114,13 +114,16 @@ bool looksLikePlan(const std::string &Bytes) {
   return Bytes.size() >= 4 && Bytes.compare(0, 4, "PYPL") == 0;
 }
 
-/// Loads either a textual .pypm source or a serialized .pypmbin. When \p
-/// RC is non-null it receives the documented exit code for the failure:
-/// 8 when the file cannot be read at all, 1 when it was read but is
-/// malformed — so automation can tell a deployment problem (wrong path,
-/// permissions) from a bad artifact without parsing stderr.
+/// Loads a textual .pypm source, a serialized .pypmbin, or the library
+/// embedded in a .pypmplan (sniffed by magic; \p IsPlan, when non-null,
+/// reports the last). When \p RC is non-null it receives the documented
+/// exit code for the failure: 8 when the file cannot be read at all, 1
+/// when it was read but is malformed — so automation can tell a
+/// deployment problem (wrong path, permissions) from a bad artifact
+/// without parsing stderr.
 std::unique_ptr<pattern::Library> load(const char *Path, term::Signature &Sig,
-                                       int *RC = nullptr) {
+                                       int *RC = nullptr,
+                                       bool *IsPlan = nullptr) {
   std::string Bytes;
   if (!readFile(Path, Bytes)) {
     if (RC)
@@ -128,10 +131,15 @@ std::unique_ptr<pattern::Library> load(const char *Path, term::Signature &Sig,
     return nullptr;
   }
   DiagnosticEngine Diags;
-  std::unique_ptr<pattern::Library> Lib =
-      looksLikeBinary(Bytes)
-          ? pattern::deserializeLibrary(Bytes, Sig, Diags)
-          : dsl::compileFile(Path, Sig, Diags); // includes resolved
+  std::unique_ptr<pattern::Library> Lib;
+  if (looksLikePlan(Bytes))
+    Lib = plan::deserializePlan(Bytes, Sig, Diags);
+  else if (looksLikeBinary(Bytes))
+    Lib = pattern::deserializeLibrary(Bytes, Sig, Diags);
+  else
+    Lib = dsl::compileFile(Path, Sig, Diags); // includes resolved
+  if (IsPlan)
+    *IsPlan = looksLikePlan(Bytes);
   if (!Lib) {
     std::fprintf(stderr, "%s", Diags.renderAll().c_str());
     if (RC)
@@ -194,15 +202,7 @@ int cmdCompilePlan(int Argc, char **Argv) {
   if (!Lib)
     return RC;
 
-  DiagnosticEngine Diags;
-  // RulesOnly mirrors `pypmc rewrite`'s RuleSet::addLibrary default:
-  // match-only patterns are not part of the rewrite rule set.
-  std::string Bytes =
-      plan::serializePlan(*Lib, Sig, /*RulesOnly=*/true, Diags);
-  std::fprintf(stderr, "%s", Diags.renderAll().c_str());
-  if (Bytes.empty())
-    return 1;
-
+  std::string Bytes = plan::serializePlan(*Lib, Sig);
   std::ofstream OutFile(Out, std::ios::binary);
   if (!OutFile || !OutFile.write(Bytes.data(),
                                  static_cast<std::streamsize>(Bytes.size()))) {
@@ -214,21 +214,24 @@ int cmdCompilePlan(int Argc, char **Argv) {
   // and doubles as an end-to-end check of the artifact.
   term::Signature CheckSig;
   DiagnosticEngine CheckDiags;
-  std::unique_ptr<plan::LoadedPlan> LP =
+  std::unique_ptr<pattern::Library> CheckLib =
       plan::deserializePlan(Bytes, CheckSig, CheckDiags);
-  if (!LP) {
+  if (!CheckLib) {
     std::fprintf(stderr, "pypmc: round-trip of '%s' failed:\n%s", Out,
                  CheckDiags.renderAll().c_str());
     return 1;
   }
-  plan::ProgramInfo Info = LP->Prog.info();
+  rewrite::RuleSet Rules;
+  Rules.addLibrary(*CheckLib);
+  plan::Program Prog = plan::PlanBuilder::compile(Rules, CheckSig);
+  plan::ProgramInfo Info = Prog.info();
   std::printf("wrote %s: %zu bytes, %zu entr%s, %zu instruction(s), "
               "%zu tree node(s)\n",
-              Out, Bytes.size(), LP->Prog.Entries.size(),
-              LP->Prog.Entries.size() == 1 ? "y" : "ies", Info.Instrs,
+              Out, Bytes.size(), Prog.Entries.size(),
+              Prog.Entries.size() == 1 ? "y" : "ies", Info.Instrs,
               Info.TreeNodes);
   if (EmitPlan)
-    std::printf("%s", LP->Prog.disassemble(CheckSig).c_str());
+    std::printf("%s", Prog.disassemble(CheckSig).c_str());
 
   return 0;
 }
@@ -360,40 +363,29 @@ int cmdLint(int Argc, char **Argv) {
   }
 
   term::Signature Sig;
-  std::string Bytes;
-  if (!readFile(In, Bytes))
-    return 8; // unreadable, not malformed
-  if (looksLikePlan(Bytes)) {
-    DiagnosticEngine PlanDiags;
-    std::unique_ptr<plan::LoadedPlan> LP =
-        plan::deserializePlan(Bytes, Sig, PlanDiags);
-    if (!LP) {
-      std::fprintf(stderr, "%s", PlanDiags.renderAll().c_str());
-      return 1;
-    }
-    analysis::critical::ConfluenceReport CR;
-    if (Critical) {
-      CR = analysis::critical::analyzeConfluence(LP->Rules, Sig);
-      LOpts.Confluence = &CR;
-    }
-    analysis::LintReport LR = analysis::lintRuleSet(LP->Rules, Sig, LOpts);
-    if (Critical)
-      foldConfluence(LR, CR);
-    printLintReport(In, LR, Json, TotalErrors);
-  } else {
-    std::unique_ptr<pattern::Library> Lib = load(In, Sig);
-    if (!Lib)
-      return 1; // readable (readFile above) but malformed
-    analysis::critical::ConfluenceReport CR;
-    if (Critical) {
-      CR = analysis::critical::analyzeConfluence(*Lib, Sig);
-      LOpts.Confluence = &CR;
-    }
-    analysis::LintReport LR = analysis::lintLibrary(*Lib, Sig, LOpts);
-    if (Critical)
-      foldConfluence(LR, CR);
-    printLintReport(In, LR, Json, TotalErrors);
+  int RC = 1;
+  bool IsPlan = false;
+  std::unique_ptr<pattern::Library> Lib = load(In, Sig, &RC, &IsPlan);
+  if (!Lib)
+    return RC;
+  analysis::critical::ConfluenceReport CR;
+  if (Critical) {
+    CR = analysis::critical::analyzeConfluence(*Lib, Sig);
+    LOpts.Confluence = &CR;
   }
+  // A .pypmplan is linted as the rule set it serves (the patterns with
+  // rules); a source or .pypmbin as the whole library.
+  analysis::LintReport LR;
+  if (IsPlan) {
+    rewrite::RuleSet Rules;
+    Rules.addLibrary(*Lib);
+    LR = analysis::lintRuleSet(Rules, Sig, LOpts);
+  } else {
+    LR = analysis::lintLibrary(*Lib, Sig, LOpts);
+  }
+  if (Critical)
+    foldConfluence(LR, CR);
+  printLintReport(In, LR, Json, TotalErrors);
   return TotalErrors ? 7 : 0;
 }
 
@@ -620,51 +612,39 @@ int cmdRewrite(int Argc, char **Argv) {
 
   term::Signature Sig;
   // The patterns operand accepts textual .pypm, a .pypmbin library, or a
-  // precompiled .pypmplan MatchPlan artifact (sniffed by magic). A plan
-  // artifact skips the in-run compile.
+  // .pypmplan MatchPlan artifact (sniffed by magic); each loads to one
+  // pattern library, and the plan is compiled from it below.
   std::unique_ptr<pattern::Library> Lib;
-  std::unique_ptr<plan::LoadedPlan> LP;
   rewrite::RuleSet OwnRules;
   // --plan-cache-dir=: resolve the rule set through the daemon's
   // content-hash plan cache instead, so repeated cold CLI starts on the
   // same rule set reuse the on-disk .pypmplan artifact (written crash-
-  // safely; corrupt or torn entries are detected by the hardened loader
-  // and recompiled). The rewrite itself is bit-identical either way —
-  // the cache serves byte-identical plans.
+  // safely; corrupt or torn entries fail the loader's checksum and are
+  // rebuilt). The rewrite itself is bit-identical either way.
   std::shared_ptr<const server::CachedRuleSet> CacheEntry;
-  {
+  if (PlanCacheDir) {
     std::string Bytes;
     if (!readFile(Patterns, Bytes))
       return 8; // unreadable, not malformed
-    if (PlanCacheDir) {
-      server::PlanCache Cache({PlanCacheDir});
-      DiagnosticEngine CacheDiags;
-      server::CacheSource Src;
-      CacheEntry = Cache.acquire(Bytes, CacheDiags, Src);
-      if (!CacheEntry) {
-        std::fprintf(stderr, "%s", CacheDiags.renderAll().c_str());
-        return 1;
-      }
-      std::fprintf(stderr, "plan cache: %s\n",
-                   std::string(server::cacheSourceName(Src)).c_str());
-      Sig = CacheEntry->Sig; // private copy; graph parse may extend it
-    } else if (looksLikePlan(Bytes)) {
-      DiagnosticEngine PlanDiags;
-      LP = plan::deserializePlan(Bytes, Sig, PlanDiags);
-      if (!LP) {
-        std::fprintf(stderr, "%s", PlanDiags.renderAll().c_str());
-        return 1;
-      }
-    } else {
-      int RC = 1;
-      Lib = load(Patterns, Sig, &RC);
-      if (!Lib)
-        return RC;
-      OwnRules.addLibrary(*Lib);
+    server::PlanCache Cache({PlanCacheDir});
+    DiagnosticEngine CacheDiags;
+    server::CacheSource Src;
+    CacheEntry = Cache.acquire(Bytes, CacheDiags, Src);
+    if (!CacheEntry) {
+      std::fprintf(stderr, "%s", CacheDiags.renderAll().c_str());
+      return 1;
     }
+    std::fprintf(stderr, "plan cache: %s\n",
+                 std::string(server::cacheSourceName(Src)).c_str());
+    Sig = CacheEntry->Sig; // private copy; graph parse may extend it
+  } else {
+    int RC = 1;
+    Lib = load(Patterns, Sig, &RC);
+    if (!Lib)
+      return RC;
+    OwnRules.addLibrary(*Lib);
   }
-  const rewrite::RuleSet &Rules =
-      CacheEntry ? CacheEntry->rules() : (LP ? LP->Rules : OwnRules);
+  const rewrite::RuleSet &Rules = CacheEntry ? CacheEntry->rules() : OwnRules;
 
   std::unique_ptr<graph::Graph> G = loadGraph(GraphPath, Sig);
   if (!G)
@@ -679,11 +659,10 @@ int cmdRewrite(int Argc, char **Argv) {
   Opts.Matcher = Matcher;
   Opts.Lint = Lint;
 
-  // A plan compiled here (or loaded above) serves both --emit-plan and the
-  // engine's PrecompiledPlan fast path.
+  // A plan compiled here (or served by the cache) serves both --emit-plan
+  // and the engine's PrecompiledPlan fast path.
   std::unique_ptr<plan::Program> FreshPlan;
-  const plan::Program *Plan =
-      CacheEntry ? &CacheEntry->prog() : (LP ? &LP->Prog : nullptr);
+  const plan::Program *Plan = CacheEntry ? &CacheEntry->prog() : nullptr;
   if (!Plan && (EmitPlan || Matcher == rewrite::MatcherKind::Plan)) {
     FreshPlan = std::make_unique<plan::Program>(
         plan::PlanBuilder::compile(Rules, Sig));
